@@ -38,6 +38,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench build + smoke test (every workload, every oracle)"
+# perfbench/ is a workspace of its own, so the workspace build above does
+# not notice when a public API it uses changes.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 # The pre-0.2 QueryEngine methods and TelemetryBus::subscribe are gone;
 # odalint's deprecated-api rule keeps them from coming back.

@@ -226,9 +226,9 @@ fn bench_query(c: &mut Criterion) {
         });
     });
 
-    // Ablation: rayon fan-out vs sequential loop over 256 sensors.
+    // One fleet-wide query over 256 sensors.
     let sensors: Vec<SensorId> = (0..256).map(SensorId).collect();
-    g.bench_function("aggregate_many_256_parallel", |b| {
+    g.bench_function("aggregate_many_256", |b| {
         b.iter(|| {
             black_box(
                 Query::sensors(&sensors)
@@ -237,21 +237,6 @@ fn bench_query(c: &mut Criterion) {
                     .run(&engine)
                     .scalars(),
             )
-        });
-    });
-    g.bench_function("aggregate_many_256_sequential", |b| {
-        b.iter(|| {
-            let out: Vec<Option<f64>> = sensors
-                .iter()
-                .map(|&s| {
-                    Query::sensors(s)
-                        .range(all)
-                        .aggregate(Aggregation::Mean)
-                        .run(&engine)
-                        .scalar()
-                })
-                .collect();
-            black_box(out)
         });
     });
     g.bench_function("align_16_sensors_1min", |b| {
@@ -277,7 +262,8 @@ fn bench_bus(c: &mut Criterion) {
     g.bench_function("publish_fanout_8_subscribers", |b| {
         let registry = SensorRegistry::new();
         let sensor = registry.register("/hw/node0/power_w", SensorKind::Power, Unit::Watts);
-        let bus = TelemetryBus::new(registry);
+        let archive = Archive::in_memory(Arc::new(TimeSeriesStore::with_capacity(1_000)));
+        let bus = TelemetryBus::new(registry, archive, MetricsRegistry::global());
         let _subs: Vec<Subscription> = (0..8)
             .map(|i| {
                 bus.subscription("/hw/**")

@@ -26,6 +26,7 @@ use oda_telemetry::metrics::{MetricsRegistry, MetricsSnapshot};
 use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+use oda_telemetry::storage::Archive;
 use oda_telemetry::store::TimeSeriesStore;
 use serde::Serialize;
 use std::sync::Arc;
@@ -154,7 +155,11 @@ pub fn run_ingest(cfg: &IngestConfig, metrics: MetricsRegistry) -> (IngestReport
         TimeSeriesStore::DEFAULT_SHARDS,
         metrics.clone(),
     ));
-    let bus = TelemetryBus::with_parts(registry, Some(Arc::clone(&store)), metrics.clone());
+    let bus = TelemetryBus::new(
+        registry,
+        Archive::in_memory(Arc::clone(&store)),
+        metrics.clone(),
+    );
     // One live subscriber so the fan-out path is exercised; drained each
     // round so it never sheds.
     let sub = bus

@@ -34,6 +34,7 @@ use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
+use oda_telemetry::storage::Archive;
 use oda_telemetry::store::TimeSeriesStore;
 use serde::Serialize;
 use std::sync::Arc;
@@ -235,9 +236,10 @@ pub fn run_serving(cfg: &ServingBenchConfig) -> ServingReport {
         })
         .collect();
     let store = Arc::new(TimeSeriesStore::with_capacity(cfg.prefill + cfg.requests));
-    let bus = Arc::new(TelemetryBus::with_store(
+    let bus = Arc::new(TelemetryBus::new(
         registry.clone(),
-        Arc::clone(&store),
+        Archive::in_memory(Arc::clone(&store)),
+        MetricsRegistry::global(),
     ));
     for round in 0..cfg.prefill {
         for (i, &s) in sensors.iter().enumerate() {

@@ -5,10 +5,10 @@
 //! [`BackendKind::Hybrid`]) over a [`SimFs`] and measures, per backend:
 //!
 //! * **ingest throughput** — readings/s sustained through
-//!   [`StorageBackend::insert_batch`] (hot-store append plus, for the
+//!   [`Archive::insert_batch`] (hot-store append plus, for the
 //!   durable backends, WAL logging and segment sealing),
 //! * **long-window query latency** p50/p99 — whole-history range queries
-//!   through the trait's [`StorageBackend::range`], so each backend answers
+//!   through [`Archive::range`], so each backend answers
 //!   via its own routing policy (ring scan, durable-file decode, or hybrid),
 //! * **cold-start recovery** — the backend is dropped and reopened over the
 //!   same filesystem; the reopen wall time is the recovery cost, and the
@@ -24,9 +24,7 @@
 use oda_telemetry::reading::{Reading, Timestamp};
 use oda_telemetry::sensor::SensorId;
 use oda_telemetry::storage::codec::fnv1a64;
-use oda_telemetry::storage::{
-    open_backend, BackendKind, SimFs, StorageBackend, StorageConfig, StorageFs,
-};
+use oda_telemetry::storage::{open_backend, Archive, BackendKind, SimFs, StorageConfig, StorageFs};
 use oda_telemetry::store::TimeSeriesStore;
 use serde::Serialize;
 use std::sync::Arc;
@@ -128,7 +126,7 @@ fn wall_ns(t: Instant) -> u64 {
 /// FNV-1a digest over every reading the backend serves for the full window,
 /// sensor-major in id order, so two archives digest equal iff their visible
 /// content is bit-identical.
-fn archive_digest(backend: &dyn StorageBackend, sensors: usize) -> u64 {
+fn archive_digest(backend: &Archive, sensors: usize) -> u64 {
     let mut bytes = Vec::new();
     for s in 0..sensors {
         let id = SensorId(s as u32);
@@ -141,7 +139,7 @@ fn archive_digest(backend: &dyn StorageBackend, sensors: usize) -> u64 {
     fnv1a64(&bytes)
 }
 
-fn open_kind(kind: BackendKind, fs: &Arc<SimFs>, capacity: usize) -> Arc<dyn StorageBackend> {
+fn open_kind(kind: BackendKind, fs: &Arc<SimFs>, capacity: usize) -> Arc<Archive> {
     let cfg = StorageConfig {
         backend: kind,
         ..StorageConfig::default()

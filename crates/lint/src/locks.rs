@@ -94,7 +94,7 @@ pub struct CallSite {
     /// Callee method/function name.
     pub name: String,
     /// Receiver base type, when resolvable (`self.archive.flush()` →
-    /// `StorageBackend`); `None` for free calls or unresolved receivers.
+    /// `Archive`); `None` for free calls or unresolved receivers.
     pub recv_ty: Option<String>,
     /// Explicit path qualifier for `Type::method(..)` calls.
     pub qual_ty: Option<String>,

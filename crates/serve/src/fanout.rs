@@ -244,7 +244,11 @@ mod tests {
             .iter()
             .map(|n| registry.register(n, SensorKind::Power, Unit::Watts))
             .collect();
-        (TelemetryBus::new(registry), ids)
+        let archive = Archive::in_memory(Arc::new(TimeSeriesStore::with_capacity(64)));
+        (
+            TelemetryBus::new(registry, archive, MetricsRegistry::global()),
+            ids,
+        )
     }
 
     fn publish(bus: &TelemetryBus, sensor: SensorId, ts: u64, value: f64) {

@@ -810,9 +810,10 @@ mod tests {
             registry.register("/facility/pue", SensorKind::Count, Unit::Dimensionless),
         ];
         let store = Arc::new(TimeSeriesStore::with_capacity(1024));
-        let bus = Arc::new(TelemetryBus::with_store(
+        let bus = Arc::new(TelemetryBus::new(
             registry.clone(),
-            Arc::clone(&store),
+            Archive::in_memory(Arc::clone(&store)),
+            MetricsRegistry::global(),
         ));
         for i in 0..10u64 {
             for &s in &sensors {

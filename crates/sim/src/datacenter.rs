@@ -45,7 +45,7 @@ use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use oda_telemetry::storage::{
-    open_backend, BackendKind, RecoveryReport, SimFs, StorageBackend, StorageConfig, StorageFs,
+    open_backend, Archive, BackendKind, RecoveryReport, SimFs, StorageConfig, StorageFs,
 };
 use oda_telemetry::store::{RollupConfig, TimeSeriesStore};
 use serde::{Deserialize, Serialize};
@@ -819,21 +819,23 @@ impl DataCenter {
             metrics.clone(),
             config.rollups.clone(),
         ));
-        let backend = open_backend(&config.storage, fs, store)
+        let archive = open_backend(&config.storage, fs, store)
             .expect("archive backend must open over the site's storage fs");
-        Arc::new(TelemetryBus::with_archive(registry, backend, metrics))
+        Arc::new(TelemetryBus::new(registry, archive, metrics))
     }
 
     /// Simulates an analytics-plane process restart: flushes the archive,
     /// drops the bus and hot store, and rebuilds them over the same storage
-    /// filesystem — durable backends recover from WAL + segments, the
-    /// in-memory backend comes back empty. Existing bus subscriptions are
+    /// filesystem — durable archives recover from WAL + segments, an
+    /// in-memory one comes back empty. Existing bus subscriptions are
     /// disconnected and must be re-established. Returns the recovery report
-    /// for durable backends.
+    /// for durable archives. Panics if the flush fails: reopening over an
+    /// unflushed WAL would silently drop acknowledged readings.
     pub fn restart_archive(&mut self) -> Option<RecoveryReport> {
-        if let Some(archive) = self.bus.archive() {
-            let _ = archive.flush();
-        }
+        self.bus
+            .archive()
+            .flush()
+            .expect("archive must flush before the restart reopens it");
         let metrics = self.bus.metrics().clone();
         self.bus = Self::build_bus(
             &self.config,
@@ -841,7 +843,7 @@ impl DataCenter {
             metrics,
             Arc::clone(&self.archive_fs),
         );
-        self.bus.archive().and_then(|a| a.recovery().cloned())
+        self.bus.archive().recovery().cloned()
     }
 
     // ----- accessors -------------------------------------------------------
@@ -874,16 +876,12 @@ impl DataCenter {
 
     /// The archive store behind the bus.
     pub fn store(&self) -> &Arc<TimeSeriesStore> {
-        self.bus
-            .store()
-            .expect("data center bus always has a store")
+        self.bus.store()
     }
 
-    /// The archive backend behind the bus (in-memory, persistent or hybrid).
-    pub fn archive(&self) -> &Arc<dyn StorageBackend> {
-        self.bus
-            .archive()
-            .expect("data center bus always has an archive")
+    /// The archive behind the bus (in-memory, persistent or hybrid).
+    pub fn archive(&self) -> &Arc<Archive> {
+        self.bus.archive()
     }
 
     /// The metrics registry the telemetry plane records into.

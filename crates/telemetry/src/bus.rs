@@ -3,9 +3,9 @@
 //! Producers (the simulator's telemetry taps, or any collector) publish
 //! [`ReadingBatch`]es; consumers subscribe with a [`SensorPattern`] plus a
 //! resolved list of sensor ids and receive matching batches over a bounded
-//! crossbeam channel. The bus also (optionally) writes every published batch
-//! straight into a [`TimeSeriesStore`], which is how the archive stays
-//! current without every consumer re-implementing persistence.
+//! crossbeam channel. The bus also archives every published batch through
+//! its [`Archive`], which is how the archive stays current without every
+//! consumer re-implementing persistence.
 //!
 //! Delivery semantics are *at-most-once per subscriber with back-pressure
 //! shedding*: if a subscriber's channel is full the batch is dropped for that
@@ -17,8 +17,10 @@
 //!
 //! ```
 //! use oda_telemetry::prelude::*;
+//! use std::sync::Arc;
 //! let registry = SensorRegistry::new();
-//! let bus = TelemetryBus::new(registry);
+//! let archive = Archive::in_memory(Arc::new(TimeSeriesStore::with_capacity(64)));
+//! let bus = TelemetryBus::new(registry, archive, MetricsRegistry::disabled());
 //! let sub = bus.subscription("/hw/**").capacity(256).named("alert-engine").subscribe();
 //! assert_eq!(sub.name(), "alert-engine");
 //! ```
@@ -34,7 +36,7 @@ use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::pattern::SensorPattern;
 use crate::reading::ReadingBatch;
 use crate::sensor::{SensorId, SensorRegistry};
-use crate::storage::{InMemoryBackend, StorageBackend};
+use crate::storage::Archive;
 use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
@@ -180,10 +182,10 @@ const _: () = {
     assert_send_sync::<crate::metrics::MetricsRegistry>();
 };
 
-/// Fan-out pub/sub bus for telemetry, optionally archiving into a store.
+/// Fan-out pub/sub bus for telemetry, archiving every batch it publishes.
 pub struct TelemetryBus {
     registry: SensorRegistry,
-    archive: Option<Arc<dyn StorageBackend>>,
+    archive: Arc<Archive>,
     subscribers: Arc<RwLock<Vec<Subscriber>>>,
     next_id: Mutex<u64>,
     published: AtomicU64,
@@ -202,45 +204,10 @@ pub struct TelemetryBus {
 }
 
 impl TelemetryBus {
-    /// Creates a bus that only fans out to subscribers (no archiving).
-    /// Records into the process-wide [`MetricsRegistry::global`].
-    pub fn new(registry: SensorRegistry) -> Self {
-        Self::with_parts(registry, None, MetricsRegistry::global())
-    }
-
-    /// Creates a bus that also archives every published batch into `store`.
-    pub fn with_store(registry: SensorRegistry, store: Arc<TimeSeriesStore>) -> Self {
-        Self::with_parts(registry, Some(store), MetricsRegistry::global())
-    }
-
-    /// Creates a bus that archives through an explicit [`StorageBackend`]
-    /// (in-memory, persistent, or hybrid).
-    pub fn with_archive(
-        registry: SensorRegistry,
-        archive: Arc<dyn StorageBackend>,
-        metrics: MetricsRegistry,
-    ) -> Self {
-        Self::build(registry, Some(archive), metrics)
-    }
-
-    /// Creates a bus with an explicit store (optional) and metrics registry —
-    /// pass [`MetricsRegistry::disabled`] for a zero-overhead bus. The store
-    /// is wrapped in an [`InMemoryBackend`]; use
-    /// [`with_archive`](Self::with_archive) for durable backends.
-    pub fn with_parts(
-        registry: SensorRegistry,
-        store: Option<Arc<TimeSeriesStore>>,
-        metrics: MetricsRegistry,
-    ) -> Self {
-        let archive = store.map(|s| Arc::new(InMemoryBackend::new(s)) as Arc<dyn StorageBackend>);
-        Self::build(registry, archive, metrics)
-    }
-
-    fn build(
-        registry: SensorRegistry,
-        archive: Option<Arc<dyn StorageBackend>>,
-        metrics: MetricsRegistry,
-    ) -> Self {
+    /// Creates a bus that archives every published batch through `archive`
+    /// and records into `metrics` — pass [`MetricsRegistry::disabled`] for a
+    /// zero-overhead bus.
+    pub fn new(registry: SensorRegistry, archive: Arc<Archive>, metrics: MetricsRegistry) -> Self {
         TelemetryBus {
             registry,
             archive,
@@ -264,14 +231,14 @@ impl TelemetryBus {
         &self.registry
     }
 
-    /// The hot store of the attached archive, if any.
-    pub fn store(&self) -> Option<&Arc<TimeSeriesStore>> {
-        self.archive.as_ref().map(|a| a.store())
+    /// The hot store of the archive.
+    pub fn store(&self) -> &Arc<TimeSeriesStore> {
+        self.archive.store()
     }
 
-    /// The attached archive backend, if any.
-    pub fn archive(&self) -> Option<&Arc<dyn StorageBackend>> {
-        self.archive.as_ref()
+    /// The archive every published batch goes into.
+    pub fn archive(&self) -> &Arc<Archive> {
+        &self.archive
     }
 
     /// The metrics registry this bus's instruments record into.
@@ -327,9 +294,8 @@ impl TelemetryBus {
         self.subscribers.write().retain(|s| s.id != id);
     }
 
-    /// Publishes a batch: archives it (if a store is attached) and delivers
-    /// it to every matching subscriber. Returns the number of subscribers it
-    /// was delivered to.
+    /// Publishes a batch: archives it and delivers it to every matching
+    /// subscriber. Returns the number of subscribers it was delivered to.
     ///
     /// Subscribers whose receiving side has been dropped are removed during
     /// the publish (reaped) rather than counted as sheds.
@@ -338,9 +304,7 @@ impl TelemetryBus {
         self.published.fetch_add(1, Ordering::Relaxed);
         self.m_publish_total.inc();
         self.m_readings_total.add(batch.readings.len() as u64);
-        if let Some(archive) = &self.archive {
-            archive.insert_batch(batch.sensor, &batch.readings);
-        }
+        self.archive.insert_batch(batch.sensor, &batch.readings);
         // Fast path: read lock, check membership; lazily re-resolve the
         // pattern for sensors the subscriber has not seen yet.
         let mut delivered = 0;
@@ -414,11 +378,16 @@ mod tests {
     use crate::reading::{Reading, Timestamp};
     use crate::sensor::{SensorKind, Unit};
 
+    fn in_memory_bus(reg: SensorRegistry, metrics: MetricsRegistry) -> TelemetryBus {
+        let store = TimeSeriesStore::with_capacity_shards_metrics(16, 1, metrics.clone());
+        TelemetryBus::new(reg, Archive::in_memory(Arc::new(store)), metrics)
+    }
+
     fn setup() -> (SensorRegistry, TelemetryBus, SensorId, SensorId) {
         let reg = SensorRegistry::new();
         let a = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
         let b = reg.register("/facility/pdu0/power", SensorKind::Power, Unit::Kilowatts);
-        let bus = TelemetryBus::new(reg.clone());
+        let bus = in_memory_bus(reg.clone(), MetricsRegistry::disabled());
         (reg, bus, a, b)
     }
 
@@ -426,7 +395,7 @@ mod tests {
         let reg = SensorRegistry::new();
         let a = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
         let metrics = MetricsRegistry::new();
-        let bus = TelemetryBus::with_parts(reg, None, metrics.clone());
+        let bus = in_memory_bus(reg, metrics.clone());
         (metrics, bus, a)
     }
 
@@ -479,8 +448,8 @@ mod tests {
     fn store_attached_bus_archives_everything() {
         let reg = SensorRegistry::new();
         let a = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
-        let store = Arc::new(TimeSeriesStore::with_capacity(16));
-        let bus = TelemetryBus::with_store(reg, Arc::clone(&store));
+        let bus = in_memory_bus(reg, MetricsRegistry::disabled());
+        let store = Arc::clone(bus.store());
         bus.publish(ReadingBatch {
             sensor: a,
             readings: vec![

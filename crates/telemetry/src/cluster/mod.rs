@@ -8,8 +8,8 @@
 //!
 //! * [`PlacementMap`] — a consistent-hash ring assigns every sensor to
 //!   exactly one shard; failing a shard remaps only its slice.
-//! * `shard` (internal) — each shard owns a private `TelemetryBus` +
-//!   `TimeSeriesStore` + rollup tiers + durable archive behind a command
+//! * `shard` (internal) — each shard owns an `Archive` (hot
+//!   `TimeSeriesStore` + rollup tiers + durable engine) behind a command
 //!   channel; no shared locks across shards.
 //! * [`ClusterCoordinator`] — routes ingest by placement, executes
 //!   queries via scatter-gather with a shard-id-sorted deterministic

@@ -1,5 +1,5 @@
-//! One collector shard: a bus + store + durable tier owned by a single
-//! worker thread, reachable only through a command channel.
+//! One collector shard: an archive (store + durable tier) owned by a
+//! single worker thread, reachable only through a command channel.
 //!
 //! The channel is the shard's entire public surface — no other thread
 //! ever touches the shard's store or archive, so there are no shared
@@ -9,13 +9,12 @@
 //! sent after an ingest on the same shard necessarily observes it.
 //!
 //! Durability contract: each ingest command is archived through the
-//! shard's [`StorageBackend`] and the WAL is flushed before the shard
+//! shard's [`Archive`] and the WAL is flushed before the shard
 //! moves to the next command. "Accepted" therefore implies "durable",
 //! which is what lets [`super::ClusterCoordinator::fail_shard`] rebuild
 //! a failed shard's slice from its surviving filesystem without losing
 //! a single accepted reading.
 
-use crate::bus::TelemetryBus;
 use crate::cluster::placement::ShardId;
 use crate::cluster::ClusterConfig;
 use crate::health::HealthReport;
@@ -23,7 +22,7 @@ use crate::metrics::MetricsRegistry;
 use crate::query::{Query, QueryEngine, QueryResult};
 use crate::reading::ReadingBatch;
 use crate::sensor::{SensorId, SensorRegistry};
-use crate::storage::{open_backend, FsError, StorageBackend, StorageFs};
+use crate::storage::{open_backend, Archive, FsError, StorageFs};
 use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
@@ -58,7 +57,7 @@ pub struct ShardHealth {
     pub report: HealthReport,
     /// Readings durably stored by the shard's archive tier.
     pub durable_len: u64,
-    /// Batches published through the shard's bus since spawn.
+    /// Ingest batches the shard has archived since spawn.
     pub published: u64,
 }
 
@@ -114,20 +113,18 @@ impl ShardHandle {
         // Each shard gets its own metrics registry: shard stores reuse the
         // store's internal lock-shard labels, which would collide across
         // collector shards on a shared registry.
-        let metrics = MetricsRegistry::new();
         let store = Arc::new(TimeSeriesStore::with_rollups(
             cfg.per_sensor_capacity,
             TimeSeriesStore::DEFAULT_SHARDS,
-            metrics.clone(),
+            MetricsRegistry::new(),
             cfg.rollups.clone(),
         ));
         let archive = open_backend(&cfg.storage, Arc::clone(&fs), store)?;
-        let bus = TelemetryBus::with_archive(registry.clone(), Arc::clone(&archive), metrics);
         let (tx, rx) = bounded::<ShardCmd>(cfg.queue_depth.max(1));
         let io_wait = Duration::from_micros(cfg.io_wait_us);
         let join = std::thread::Builder::new()
             .name(format!("oda-{id}"))
-            .spawn(move || run(id, &rx, &bus, &archive, &registry, io_wait))
+            .spawn(move || run(id, &rx, &archive, &registry, io_wait))
             .map_err(|e| FsError::Io(format!("spawn {id}: {e}")))?;
         Ok(ShardHandle {
             tx,
@@ -155,11 +152,11 @@ impl ShardHandle {
 fn run(
     id: ShardId,
     rx: &Receiver<ShardCmd>,
-    bus: &TelemetryBus,
-    archive: &Arc<dyn StorageBackend>,
+    archive: &Archive,
     registry: &SensorRegistry,
     io_wait: Duration,
 ) {
+    let mut published: u64 = 0;
     while let Ok(cmd) = rx.recv() {
         match cmd {
             ShardCmd::Ingest(batch) => {
@@ -168,7 +165,8 @@ fn run(
                     // for the scale bench; zero in production configs.
                     std::thread::sleep(io_wait);
                 }
-                bus.publish(batch);
+                archive.insert_batch(batch.sensor, &batch.readings);
+                published += 1;
                 // Ack == durable: WAL-sync what this command accepted
                 // before the next command can observe or extend it.
                 let _ = archive.flush();
@@ -187,7 +185,7 @@ fn run(
                     shard: id,
                     report: archive.health_report(),
                     durable_len: archive.durable_len(),
-                    published: bus.published(),
+                    published,
                 });
             }
             ShardCmd::Edge { task, reply } => {

@@ -21,15 +21,15 @@
 //!    multi-resolution [`store::RollupConfig`] summary tiers online.
 //! 4. [`query`] — the [`query::QueryEngine`] evaluates range queries,
 //!    aggregations, downsampling and series alignment over the store,
-//!    optionally fanning out across sensors in parallel and serving
-//!    decomposable aggregations from rollup tiers instead of raw scans.
+//!    serving decomposable aggregations from rollup tiers instead of raw
+//!    scans.
 //! 5. [`alert`] — threshold alert rules provide the "automated alerts upon
 //!    exceeding human-defined thresholds" that the paper lists as part of
 //!    descriptive ODA.
-//! 6. [`storage`] — the durable tier: a [`storage::StorageBackend`] trait
-//!    over the in-memory store, a WAL + compressed-segment persistent
-//!    engine, and a hybrid of the two, so the archive can survive process
-//!    restarts with bit-identical recovery.
+//! 6. [`storage`] — the durable tier: one [`storage::Archive`] type, the
+//!    hot store plus an optional WAL + compressed-segment engine
+//!    (persistent or hybrid), so the archive can survive process restarts
+//!    with bit-identical recovery.
 //! 7. [`cluster`] — the distribution layer: N collector shards each own a
 //!    consistent-hash slice of the sensor space behind a message-passing
 //!    boundary, with a [`cluster::ClusterCoordinator`] doing placement-
@@ -95,8 +95,8 @@ pub mod prelude {
     pub use crate::reading::{Reading, Timestamp};
     pub use crate::sensor::{SensorId, SensorKind, SensorMeta, SensorRegistry, Unit};
     pub use crate::storage::{
-        open_backend, BackendKind, DurableBackend, EngineConfig, FsError, InMemoryBackend,
-        PersistentEngine, RealFs, RecoveryReport, SimFs, StorageBackend, StorageConfig, StorageFs,
+        open_backend, Archive, BackendKind, EngineConfig, FsError, PersistentEngine, RealFs,
+        RecoveryReport, SimFs, StorageConfig, StorageFs,
     };
     pub use crate::store::{RollupConfig, RollupTierSpec, TimeSeriesStore};
 }

@@ -21,9 +21,8 @@
 //! assert_eq!(mean, Some(1.0));
 //! ```
 //!
-//! Multi-sensor scans fan out across a Rayon thread pool because fleet-wide
-//! queries (thousands of node sensors) dominate read volume. Every executed
-//! query records `query_total`, `query_scan_ns` and
+//! Multi-sensor scans run sensor by sensor in selector order, so results
+//! keep that order. Every executed query records `query_total`, `query_scan_ns` and
 //! `query_readings_scanned_total` into the store's metrics registry.
 //!
 //! ## Rollup-tier planning
@@ -55,7 +54,6 @@ use crate::reading::{Reading, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
 use crate::storage::codec::fnv1a64;
 use crate::store::{RollupBucket, TierScanResult, TimeSeriesStore};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
 /// Half-open query interval `[start, end)`.
@@ -1018,7 +1016,7 @@ impl<'a> QueryEngine<'a> {
             }
         };
         let fetched: Vec<Fetched> = sensors
-            .par_iter()
+            .iter()
             .map(|&s| {
                 if let Some(align) = tier_align {
                     if let TierScanResult::Hit {
@@ -1088,7 +1086,7 @@ impl<'a> QueryEngine<'a> {
             ),
             Shape::Buckets { bucket_ms, agg } => ResultData::Buckets(
                 fetched
-                    .par_iter()
+                    .iter()
                     .map(|f| shape_buckets(f, bucket_ms, agg))
                     .collect(),
             ),
@@ -1097,7 +1095,7 @@ impl<'a> QueryEngine<'a> {
             }
             Shape::Aligned { bucket_ms } => {
                 let buckets: Vec<Vec<Bucket>> = fetched
-                    .par_iter()
+                    .iter()
                     .map(|f| shape_buckets(f, bucket_ms, Aggregation::Mean))
                     .collect();
                 let (grid, matrix) = align_buckets(&buckets);
@@ -1318,7 +1316,7 @@ pub(crate) fn align_buckets(per_sensor: &[Vec<Bucket>]) -> (Vec<Timestamp>, Vec<
     grid.sort_unstable();
     grid.dedup();
     let matrix = per_sensor
-        .par_iter()
+        .iter()
         .map(|buckets| {
             let mut row = vec![f64::NAN; grid.len()];
             for b in buckets {

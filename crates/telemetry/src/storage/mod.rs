@@ -1,19 +1,19 @@
-//! Durable storage: WAL + compressed segment files behind a backend trait.
+//! Durable storage: WAL + compressed segment files under one [`Archive`].
 //!
-//! The archive has historically been purely in-memory (sharded ring buffers
-//! plus rollup tiers in [`crate::store::TimeSeriesStore`]); a process
-//! restart erased it. This module adds a durable tier while keeping the
-//! query planner, rollup tiers and health reporting working identically,
-//! by fronting the archive with the [`StorageBackend`] trait:
+//! An [`Archive`] is a hot store (sharded ring buffers plus rollup tiers in
+//! [`crate::store::TimeSeriesStore`]) plus an optional durable engine, so
+//! the query planner, rollup tiers and health reporting work identically
+//! whether or not the archive survives a restart:
 //!
-//! - [`InMemoryBackend`] — the status quo: hot store only, nothing durable.
+//! - In-memory — the hot store only, nothing durable.
 //! - Persistent / Hybrid — a [`PersistentEngine`] (WAL + sealed segments,
-//!   see [`engine`]) paired with a hot store **mirror** that serves planner
-//!   and rollup queries. On open, the engine replays the durable archive
-//!   into the mirror; because replay preserves per-sensor acceptance order,
-//!   the recovered hot state is bit-identical whenever the durable history
-//!   is complete. The two kinds differ in query routing policy
-//!   ([`BackendKind`]) and in how health evictions are attributed.
+//!   see [`engine`]) paired with the hot store as a **mirror** that serves
+//!   planner and rollup queries. On open, the engine replays the durable
+//!   archive into the mirror; because replay preserves per-sensor
+//!   acceptance order, the recovered hot state is bit-identical whenever
+//!   the durable history is complete. The two kinds differ in query
+//!   routing policy ([`BackendKind`]) and in how health evictions are
+//!   attributed.
 //!
 //! All I/O flows through the injectable [`StorageFs`] shim ([`fs`]), so
 //! crash scenarios — torn writes, short reads, lying fsyncs — are simulated
@@ -42,7 +42,7 @@ use crate::store::TimeSeriesStore;
 pub enum BackendKind {
     /// Hot in-memory store only; nothing survives a restart.
     InMemory,
-    /// WAL + segments are the source of truth; trait-level range queries
+    /// WAL + segments are the source of truth; [`Archive::range`] queries
     /// scan the durable files (honest cold-path latency), with the hot
     /// mirror serving only the planner/rollup interfaces.
     Persistent,
@@ -109,143 +109,90 @@ impl StorageConfig {
     }
 }
 
-/// Uniform interface over the three archive backends.
+/// The archive: a hot store, plus a durable engine for the persistent and
+/// hybrid kinds.
 ///
-/// The hot [`TimeSeriesStore`] is always available (it is the store itself
-/// for [`InMemoryBackend`], and a replayed mirror for the durable
-/// backends), so existing consumers — query planner, rollup tiers, alert
-/// evaluation — keep working unchanged over all three.
-pub trait StorageBackend: Send + Sync {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// The hot store serving planner and rollup queries.
-    fn store(&self) -> &Arc<TimeSeriesStore>;
-
-    /// Archive a batch: insert into the hot store and, for durable
-    /// backends, WAL-log exactly the readings the store accepted. Returns
-    /// the number of accepted readings.
-    fn insert_batch(&self, sensor: SensorId, readings: &[Reading]) -> usize;
-
-    /// Range query in `[start, end)` routed according to the backend's
-    /// policy (hot ring, durable scan, or hybrid).
-    fn range(&self, sensor: SensorId, start: Timestamp, end: Timestamp) -> Vec<Reading>;
-
-    /// Fsync any buffered WAL records.
-    fn flush(&self) -> Result<(), FsError>;
-
-    /// Run one deterministic compaction pass; returns segments folded.
-    fn compact(&self) -> Result<usize, FsError>;
-
-    /// Health report with eviction attribution appropriate to the backend
-    /// (see [`DurableBackend::health_report`] for the durable semantics).
-    fn health_report(&self) -> HealthReport;
-
-    /// Readings durably stored or represented; 0 for in-memory.
-    fn durable_len(&self) -> u64;
-
-    /// Recovery report from open, for durable backends.
-    fn recovery(&self) -> Option<&RecoveryReport>;
-}
-
-/// The status-quo backend: hot store only.
-pub struct InMemoryBackend {
+/// The hot [`TimeSeriesStore`] is always present (it is the whole archive
+/// for [`BackendKind::InMemory`], and a replayed mirror for the durable
+/// kinds), so its consumers — query planner, rollup tiers, alert
+/// evaluation — work unchanged over all three kinds.
+pub struct Archive {
     store: Arc<TimeSeriesStore>,
+    durable: Option<Durable>,
 }
 
-impl std::fmt::Debug for InMemoryBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InMemoryBackend").finish_non_exhaustive()
-    }
-}
-
-impl InMemoryBackend {
-    /// Wrap a hot store.
-    pub fn new(store: Arc<TimeSeriesStore>) -> Self {
-        InMemoryBackend { store }
-    }
-}
-
-impl StorageBackend for InMemoryBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::InMemory
-    }
-
-    fn store(&self) -> &Arc<TimeSeriesStore> {
-        &self.store
-    }
-
-    fn insert_batch(&self, sensor: SensorId, readings: &[Reading]) -> usize {
-        self.store.insert_batch(sensor, readings)
-    }
-
-    fn range(&self, sensor: SensorId, start: Timestamp, end: Timestamp) -> Vec<Reading> {
-        self.store.range(sensor, start, end)
-    }
-
-    fn flush(&self) -> Result<(), FsError> {
-        Ok(())
-    }
-
-    fn compact(&self) -> Result<usize, FsError> {
-        Ok(0)
-    }
-
-    fn health_report(&self) -> HealthReport {
-        self.store.health_report()
-    }
-
-    fn durable_len(&self) -> u64 {
-        0
-    }
-
-    fn recovery(&self) -> Option<&RecoveryReport> {
-        None
-    }
-}
-
-/// Persistent or hybrid backend: hot mirror + [`PersistentEngine`].
-pub struct DurableBackend {
+/// The durable tier of a persistent or hybrid archive.
+struct Durable {
     kind: BackendKind,
-    store: Arc<TimeSeriesStore>,
     engine: PersistentEngine,
     recovery: RecoveryReport,
     m_wal_errors: Counter,
 }
 
-impl std::fmt::Debug for DurableBackend {
+impl std::fmt::Debug for Archive {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableBackend")
-            .field("kind", &self.kind)
-            .field("engine", &self.engine)
-            .finish()
+        f.debug_struct("Archive")
+            .field("kind", &self.kind())
+            .finish_non_exhaustive()
     }
 }
 
-impl DurableBackend {
-    /// Open the engine over `fs`, replay the durable archive into `store`,
-    /// and serve through it. `store` should be freshly constructed.
-    pub fn open(
-        kind: BackendKind,
-        fs: Arc<dyn StorageFs>,
-        engine_cfg: EngineConfig,
-        store: Arc<TimeSeriesStore>,
-    ) -> Result<Self, FsError> {
-        let metrics = store.metrics().clone();
-        let (engine, recovery) = PersistentEngine::open(fs, engine_cfg, &metrics)?;
-        engine.replay_into(&store)?;
-        Ok(DurableBackend {
-            kind,
+impl Archive {
+    /// An in-memory archive over `store`: nothing survives a restart.
+    pub fn in_memory(store: Arc<TimeSeriesStore>) -> Arc<Archive> {
+        Arc::new(Archive {
             store,
-            engine,
-            recovery,
-            m_wal_errors: metrics.counter("storage_wal_errors_total", &[]),
+            durable: None,
         })
     }
 
-    /// The underlying engine (tests, benches, maintenance).
-    pub fn engine(&self) -> &PersistentEngine {
-        &self.engine
+    /// Which backend kind this archive is.
+    pub fn kind(&self) -> BackendKind {
+        self.durable
+            .as_ref()
+            .map_or(BackendKind::InMemory, |d| d.kind)
+    }
+
+    /// The hot store serving planner and rollup queries.
+    pub fn store(&self) -> &Arc<TimeSeriesStore> {
+        &self.store
+    }
+
+    /// Archive a batch: insert into the hot store and, for durable kinds,
+    /// WAL-log exactly the readings the store accepted. Returns the number
+    /// of accepted readings.
+    pub fn insert_batch(&self, sensor: SensorId, readings: &[Reading]) -> usize {
+        let Some(d) = &self.durable else {
+            return self.store.insert_batch(sensor, readings);
+        };
+        let mut accepted = Vec::with_capacity(readings.len());
+        let n = self
+            .store
+            .insert_batch_accepted(sensor, readings, &mut accepted);
+        // Log exactly what the ring accepted so durable history mirrors hot
+        // history. A WAL failure must not take down the ingest path: the
+        // hot store already has the data; surface the loss via metrics.
+        if !accepted.is_empty() && d.engine.append(sensor, &accepted).is_err() {
+            d.m_wal_errors.inc();
+        }
+        n
+    }
+
+    /// Range query in `[start, end)` routed by kind: in-memory reads the
+    /// hot ring, persistent scans the durable files (honest cold-path
+    /// latency), hybrid reads the ring whenever it still covers the window
+    /// and the durable files otherwise.
+    pub fn range(&self, sensor: SensorId, start: Timestamp, end: Timestamp) -> Vec<Reading> {
+        match &self.durable {
+            Some(d) if d.kind == BackendKind::Persistent || !self.ring_covers(sensor, start) => {
+                let mut out = Vec::new();
+                if d.engine.range_into(sensor, start, end, &mut out).is_err() {
+                    d.m_wal_errors.inc();
+                }
+                out
+            }
+            _ => self.store.range(sensor, start, end),
+        }
     }
 
     /// Whether the hot ring still covers every reading at or after `start`
@@ -262,93 +209,68 @@ impl DurableBackend {
             },
         }
     }
-}
 
-impl StorageBackend for DurableBackend {
-    fn kind(&self) -> BackendKind {
-        self.kind
+    /// Fsync any buffered WAL records.
+    pub fn flush(&self) -> Result<(), FsError> {
+        self.durable.as_ref().map_or(Ok(()), |d| d.engine.flush())
     }
 
-    fn store(&self) -> &Arc<TimeSeriesStore> {
-        &self.store
+    /// Run one deterministic compaction pass; returns segments folded.
+    pub fn compact(&self) -> Result<usize, FsError> {
+        self.durable.as_ref().map_or(Ok(0), |d| d.engine.compact())
     }
 
-    fn insert_batch(&self, sensor: SensorId, readings: &[Reading]) -> usize {
-        let mut accepted = Vec::with_capacity(readings.len());
-        let n = self
-            .store
-            .insert_batch_accepted(sensor, readings, &mut accepted);
-        // Log exactly what the ring accepted so durable history mirrors hot
-        // history. A WAL failure must not take down the ingest path: the
-        // hot store already has the data; surface the loss via metrics.
-        if !accepted.is_empty() && self.engine.append(sensor, &accepted).is_err() {
-            self.m_wal_errors.inc();
-        }
-        n
-    }
-
-    fn range(&self, sensor: SensorId, start: Timestamp, end: Timestamp) -> Vec<Reading> {
-        if self.kind == BackendKind::Hybrid && self.ring_covers(sensor, start) {
-            return self.store.range(sensor, start, end);
-        }
-        let mut out = Vec::new();
-        if self
-            .engine
-            .range_into(sensor, start, end, &mut out)
-            .is_err()
-        {
-            self.m_wal_errors.inc();
-        }
-        out
-    }
-
-    fn flush(&self) -> Result<(), FsError> {
-        self.engine.flush()
-    }
-
-    fn compact(&self) -> Result<usize, FsError> {
-        self.engine.compact()
-    }
-
-    /// Health report where `evicted` means **lost from the archive**: a
-    /// reading overwritten in the hot ring but still held in a durable
-    /// segment has not been evicted from the archive, and must not be
-    /// counted; it is counted exactly once when segment retention expires
-    /// it. This replaces the ring's per-sensor eviction counts with the
-    /// engine's retention-expiry counts.
-    fn health_report(&self) -> HealthReport {
+    /// Health report of the hot store. For durable kinds, `evicted` means
+    /// **lost from the archive**: a reading overwritten in the hot ring but
+    /// still held in a durable segment has not been evicted from the
+    /// archive, and must not be counted; it is counted exactly once when
+    /// segment retention expires it. The ring's per-sensor eviction counts
+    /// are replaced by the engine's retention-expiry counts.
+    pub fn health_report(&self) -> HealthReport {
         let mut report = self.store.health_report();
-        for h in report.sensors.iter_mut() {
-            h.evicted = self.engine.expired_for(h.sensor);
+        if let Some(d) = &self.durable {
+            for h in report.sensors.iter_mut() {
+                h.evicted = d.engine.expired_for(h.sensor);
+            }
         }
         report
     }
 
-    fn durable_len(&self) -> u64 {
-        self.engine.durable_len()
+    /// Readings durably stored or represented; 0 for in-memory.
+    pub fn durable_len(&self) -> u64 {
+        self.durable.as_ref().map_or(0, |d| d.engine.durable_len())
     }
 
-    fn recovery(&self) -> Option<&RecoveryReport> {
-        Some(&self.recovery)
+    /// Recovery report from open, for durable kinds.
+    pub fn recovery(&self) -> Option<&RecoveryReport> {
+        self.durable.as_ref().map(|d| &d.recovery)
     }
 }
 
-/// Build the backend selected by `cfg` over `fs`, replaying any durable
+/// Build the archive selected by `cfg` over `fs`, replaying any durable
 /// archive into the provided fresh hot `store`.
 pub fn open_backend(
     cfg: &StorageConfig,
     fs: Arc<dyn StorageFs>,
     store: Arc<TimeSeriesStore>,
-) -> Result<Arc<dyn StorageBackend>, FsError> {
-    match cfg.backend {
-        BackendKind::InMemory => Ok(Arc::new(InMemoryBackend::new(store))),
-        kind => Ok(Arc::new(DurableBackend::open(
-            kind,
-            fs,
-            cfg.engine.clone(),
-            store,
-        )?)),
+) -> Result<Arc<Archive>, FsError> {
+    let kind = cfg.backend;
+    if kind == BackendKind::InMemory {
+        return Ok(Archive::in_memory(store));
     }
+    let metrics = store.metrics().clone();
+    let (engine, recovery) = PersistentEngine::open(fs, cfg.engine.clone(), &metrics)?;
+    engine.replay_into(&store)?;
+    let durable = Durable {
+        kind,
+        engine,
+        recovery,
+        m_wal_errors: metrics.counter("storage_wal_errors_total", &[]),
+    };
+    Ok(Arc::new(Archive {
+        store,
+        durable: Some(durable),
+    }))
 }
 
 #[cfg(test)]
@@ -362,7 +284,7 @@ mod tests {
         }
     }
 
-    fn open_kind(kind: BackendKind, fs: Arc<SimFs>, capacity: usize) -> Arc<dyn StorageBackend> {
+    fn open_kind(kind: BackendKind, fs: Arc<SimFs>, capacity: usize) -> Arc<Archive> {
         let cfg = StorageConfig {
             backend: kind,
             engine: EngineConfig {
@@ -378,7 +300,7 @@ mod tests {
     #[test]
     fn in_memory_backend_matches_store() {
         let store = Arc::new(TimeSeriesStore::with_capacity(16));
-        let backend = InMemoryBackend::new(Arc::clone(&store));
+        let backend = Archive::in_memory(Arc::clone(&store));
         assert_eq!(
             backend.insert_batch(SensorId(1), &[reading(1, 1.0), reading(2, 2.0)]),
             2

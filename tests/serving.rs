@@ -17,6 +17,7 @@ use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine};
 use hpc_oda::telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+use hpc_oda::telemetry::storage::Archive;
 use hpc_oda::telemetry::store::{RollupConfig, TimeSeriesStore};
 use std::sync::Arc;
 
@@ -195,9 +196,10 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
         MetricsRegistry::new(),
         RollupConfig::default(),
     ));
-    let bus = Arc::new(TelemetryBus::with_store(
+    let bus = Arc::new(TelemetryBus::new(
         registry.clone(),
-        Arc::clone(&store),
+        Archive::in_memory(Arc::clone(&store)),
+        MetricsRegistry::global(),
     ));
 
     let net = Arc::new(SimNet::new());

@@ -63,7 +63,7 @@ fn backend_over(
     kind: BackendKind,
     engine: EngineConfig,
     capacity: usize,
-) -> Arc<dyn StorageBackend> {
+) -> Arc<Archive> {
     let cfg = StorageConfig {
         backend: kind,
         engine,

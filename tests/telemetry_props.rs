@@ -207,13 +207,17 @@ proptest! {
         buffer in 1usize..8,
     ) {
         use hpc_oda::telemetry::bus::TelemetryBus;
+        use hpc_oda::telemetry::metrics::MetricsRegistry;
         use hpc_oda::telemetry::pattern::SensorPattern;
         use hpc_oda::telemetry::reading::ReadingBatch;
         use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+        use hpc_oda::telemetry::storage::Archive;
+        use std::sync::Arc;
 
         let registry = SensorRegistry::new();
         let sensor = registry.register("/hw/node0/temp_c", SensorKind::Temperature, Unit::Celsius);
-        let bus = TelemetryBus::new(registry);
+        let archive = Archive::in_memory(Arc::new(TimeSeriesStore::with_capacity(64)));
+        let bus = TelemetryBus::new(registry, archive, MetricsRegistry::global());
         // Never drained: fills after `buffer` batches, sheds afterwards.
         let stalled = bus
             .subscription(SensorPattern::new("/hw/**"))
