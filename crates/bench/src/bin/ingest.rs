@@ -56,6 +56,7 @@ fn main() {
         "longwin_tier_hits": instr.longwin.tier_hits,
         "longwin_readings_avoided": instr.longwin.readings_avoided,
         "longwin_tiered_readings_scanned": instr.longwin.tiered_readings_scanned,
+        "longwin_tiered_buckets_scanned": instr.longwin.tiered_buckets_scanned,
         "longwin_raw_readings_scanned": instr.longwin.raw_readings_scanned,
         "longwin_scan_reduction_x": instr.longwin.scan_reduction_x,
     });

@@ -101,7 +101,8 @@ pub struct IngestReport {
 /// Result of the long-window fleet-aggregate phase: the same whole-window
 /// fleet query answered through the rollup planner and again with
 /// [`Query::raw_scan`], so the tier savings are measured on identical work.
-/// Counter-valued fields are zero when the soak ran with metrics disabled.
+/// Counter-valued fields are zero, and the reduction `NaN`, when the soak
+/// ran with metrics disabled.
 #[derive(Debug, Clone, Serialize)]
 pub struct LongWindowReport {
     /// Fleet queries per path (tiered and raw each ran this many).
@@ -116,14 +117,17 @@ pub struct LongWindowReport {
     pub raw_p99_ns: u64,
     /// Raw readings materialised by the tiered phase (head/tail edges only).
     pub tiered_readings_scanned: u64,
+    /// Rollup buckets the tiered phase read in place of raw readings.
+    pub tiered_buckets_scanned: u64,
     /// Readings the planner avoided rescanning by serving rollup buckets.
     pub readings_avoided: u64,
     /// Per-sensor tier hits recorded during the tiered phase.
     pub tier_hits: u64,
     /// Raw readings materialised by the forced-raw phase.
     pub raw_readings_scanned: u64,
-    /// `raw_readings_scanned / max(tiered_readings_scanned, 1)` — how many
-    /// times fewer readings the planner touched for the same answers.
+    /// `raw_readings_scanned / (tiered_readings_scanned +
+    /// tiered_buckets_scanned)` — how many times fewer items (readings or
+    /// rollup buckets) the planner touched for the same answers.
     pub scan_reduction_x: f64,
 }
 
@@ -257,6 +261,7 @@ pub fn run_ingest(cfg: &IngestConfig, metrics: MetricsRegistry) -> (IngestReport
         scanned_of(b, id).saturating_sub(scanned_of(a, id))
     };
     let tiered_scanned = delta(&before, &mid, "query_readings_scanned_total");
+    let tiered_buckets = delta(&before, &mid, "query_rollup_buckets_scanned_total");
     let raw_scanned = delta(&mid, &after, "query_readings_scanned_total");
     let longwin = LongWindowReport {
         queries_run: longwin_queries as u64,
@@ -265,10 +270,11 @@ pub fn run_ingest(cfg: &IngestConfig, metrics: MetricsRegistry) -> (IngestReport
         raw_p50_ns: percentile(&raw_ns, 0.50),
         raw_p99_ns: percentile(&raw_ns, 0.99),
         tiered_readings_scanned: tiered_scanned,
+        tiered_buckets_scanned: tiered_buckets,
         readings_avoided: delta(&before, &mid, "query_readings_avoided_total"),
         tier_hits: delta(&before, &mid, "query_tier_hit_total"),
         raw_readings_scanned: raw_scanned,
-        scan_reduction_x: raw_scanned as f64 / tiered_scanned.max(1) as f64,
+        scan_reduction_x: raw_scanned as f64 / (tiered_scanned + tiered_buckets) as f64,
     };
 
     let pct = |p: f64| -> u64 { percentile(&latencies_ns, p) };
@@ -323,9 +329,11 @@ mod tests {
         assert_eq!(lw.queries_run, cfg.queries as u64);
         // Every sensor tier-hits on every tiered fleet query...
         assert_eq!(lw.tier_hits, (cfg.queries * cfg.sensors) as u64);
-        // ...so the raw path scans at least 5x more readings for the same
-        // (exactly equal — asserted inside run_ingest) answers.
+        // ...so the raw path scans at least 5x more readings than the
+        // tiered path reads readings and buckets, for the same (exactly
+        // equal — asserted inside run_ingest) answers.
         assert!(lw.readings_avoided > 0);
+        assert!(lw.tiered_buckets_scanned > 0);
         assert!(
             lw.scan_reduction_x >= 5.0,
             "tiers should avoid >=5x rescans, got {}x",

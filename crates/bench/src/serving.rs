@@ -31,7 +31,7 @@ use oda_serve::net::SimNet;
 use oda_serve::server::Server;
 use oda_telemetry::bus::TelemetryBus;
 use oda_telemetry::metrics::MetricsRegistry;
-use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
+use oda_telemetry::query::{Aggregation, LocalSource, Query, QueryEngine, TimeRange};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use oda_telemetry::storage::Archive;
@@ -274,14 +274,10 @@ pub fn run_serving(cfg: &ServingBenchConfig) -> ServingReport {
         },
     );
     let net = Arc::new(SimNet::new());
-    let mut server = Server::new(
-        Arc::clone(&net),
-        serving,
-        registry.clone(),
-        Arc::clone(&store),
-    )
-    .with_bus(Arc::clone(&bus))
-    .with_metrics(MetricsRegistry::new());
+    let source = Arc::new(LocalSource::new(Arc::clone(&store), registry.clone()));
+    let mut server = Server::new(Arc::clone(&net), serving, registry.clone(), source)
+        .with_bus(Arc::clone(&bus))
+        .with_metrics(MetricsRegistry::new());
 
     // ----- query pools ----------------------------------------------------
     // Dashboards: per-rack mean power. Alerts: per-rack p99. Both repeat

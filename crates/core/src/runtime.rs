@@ -589,7 +589,6 @@ impl CapabilityScheduler {
                             now: ctx.now,
                             upstream: snapshot.clone(),
                             rng_seed: splitmix64(pass_seed ^ (slot as u64 + 1)),
-                            cluster: ctx.cluster.clone(),
                         },
                     }
                 })

@@ -51,8 +51,10 @@
 //! let store = Arc::new(TimeSeriesStore::with_capacity(256));
 //! store.insert(id, Reading::new(Timestamp::from_millis(1), 120.0));
 //!
+//! // A local store; a sharded site passes its `ClusterCoordinator` instead.
+//! let source = Arc::new(LocalSource::new(store, registry.clone()));
 //! let net = Arc::new(SimNet::new());
-//! let mut server = Server::new(net.clone(), ServingConfig::default(), registry, store);
+//! let mut server = Server::new(net.clone(), ServingConfig::default(), registry, source);
 //! let conn = net.connect();
 //! net.client_send(conn, b"GET /healthz HTTP/1.1\r\n\r\n");
 //! server.poll();

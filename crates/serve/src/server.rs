@@ -32,7 +32,8 @@
 //! Query responses carry `X-Cache: hit|miss` and `X-Result-Digest` (the
 //! [`QueryResult::digest`] of the rendered result), so a client — or the
 //! serving bench's exit gate — can verify the cache's bit-equality
-//! contract externally.
+//! contract externally. Queries read one [`Source`], a local store or a
+//! collector cluster, through the same three calls either way.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::config::ServingConfig;
@@ -41,12 +42,10 @@ use crate::http::{error_body, parse_request, response, streaming_head, HttpReque
 use crate::net::{ConnId, IoResult, ServerNet};
 use crate::tenant::{Admission, AdmissionController, TenantCounters};
 use oda_telemetry::bus::TelemetryBus;
-use oda_telemetry::cluster::ClusterCoordinator;
 use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::pattern::SensorPattern;
-use oda_telemetry::query::{Query, QueryEngine, QueryResult};
+use oda_telemetry::query::{Query, QueryResult, Source};
 use oda_telemetry::sensor::SensorRegistry;
-use oda_telemetry::store::TimeSeriesStore;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -108,9 +107,8 @@ pub struct Server<N: ServerNet> {
     net: Arc<N>,
     config: ServingConfig,
     registry: SensorRegistry,
-    store: Arc<TimeSeriesStore>,
+    source: Arc<dyn Source>,
     bus: Option<Arc<TelemetryBus>>,
-    cluster: Option<Arc<ClusterCoordinator>>,
     metrics: Option<MetricsRegistry>,
     admission: AdmissionController,
     cache: QueryCache,
@@ -120,15 +118,16 @@ pub struct Server<N: ServerNet> {
 }
 
 impl<N: ServerNet> Server<N> {
-    /// Creates a server over `net` answering queries from `store`, with
-    /// pattern selectors resolved against `registry`. Attach a bus with
+    /// Creates a server over `net` answering queries from `source` — a
+    /// local store or a collector cluster, bit-identically either way —
+    /// with `registry` behind `/api/v1/sensors`. Attach a bus with
     /// [`Server::with_bus`] to enable `/api/v1/subscribe`, and a metrics
     /// registry with [`Server::with_metrics`] to enable `/metrics`.
     pub fn new(
         net: Arc<N>,
         config: ServingConfig,
         registry: SensorRegistry,
-        store: Arc<TimeSeriesStore>,
+        source: Arc<dyn Source>,
     ) -> Self {
         let cache = QueryCache::new(config.cache_capacity);
         let admission = AdmissionController::new(config.clone());
@@ -137,9 +136,8 @@ impl<N: ServerNet> Server<N> {
             net,
             config,
             registry,
-            store,
+            source,
             bus: None,
-            cluster: None,
             metrics: None,
             admission,
             cache,
@@ -152,16 +150,6 @@ impl<N: ServerNet> Server<N> {
     /// Attaches the telemetry bus, enabling live subscription fan-out.
     pub fn with_bus(mut self, bus: Arc<TelemetryBus>) -> Self {
         self.bus = Some(bus);
-        self
-    }
-
-    /// Attaches a collector cluster: queries fan out over its shards via
-    /// scatter-gather (transparently to clients — responses and digests
-    /// are bit-identical to single-store execution), result-cache
-    /// versioning consults the owning shards, and `/api/v1/stats` gains a
-    /// per-shard occupancy section.
-    pub fn with_cluster(mut self, cluster: Arc<ClusterCoordinator>) -> Self {
-        self.cluster = Some(cluster);
         self
     }
 
@@ -501,24 +489,10 @@ impl<N: ServerNet> Server<N> {
         // One wire form: the canonical rendering is the cache key, so any
         // two spellings of the same query share an entry.
         let key = query.to_json();
-        // Clustered serving fans resolution, versioning and execution out
-        // over the shard set; the merge is deterministic, so cache bodies
-        // and digests stay bit-identical to single-store execution.
-        let sensors = match &self.cluster {
-            Some(cluster) => cluster.resolve(&query),
-            None => QueryEngine::new(&self.store)
-                .with_registry(self.registry.clone())
-                .resolve_sensors(&query),
-        };
+        let sensors = self.source.resolve(&query);
         // Versions snapshotted BEFORE execution: a concurrent fold can only
         // force a conservative miss later, never a stale hit (cache docs).
-        let versions: Vec<u64> = match &self.cluster {
-            Some(cluster) => cluster.sensor_versions(&sensors),
-            None => sensors
-                .iter()
-                .map(|s| self.store.sensor_version(*s))
-                .collect(),
-        };
+        let versions = self.source.versions(&sensors);
         if let Some((body, digest)) = self.cache.lookup(&key, &sensors, &versions) {
             self.count_metric("serving_cache_lookup_total", &[("outcome", "hit")]);
             let headers = vec![
@@ -528,10 +502,7 @@ impl<N: ServerNet> Server<N> {
             return (200, headers, body.to_vec());
         }
         self.count_metric("serving_cache_lookup_total", &[("outcome", "miss")]);
-        let result: QueryResult = match &self.cluster {
-            Some(cluster) => cluster.query(query),
-            None => query.run(&QueryEngine::new(&self.store).with_registry(self.registry.clone())),
-        };
+        let result: QueryResult = self.source.query(query);
         let digest = result.digest();
         let body = Arc::new(result.to_json().into_bytes());
         self.cache
@@ -652,10 +623,10 @@ impl<N: ServerNet> Server<N> {
                 ]),
             ),
         ];
-        if let Some(cluster) = &self.cluster {
+        if let Some(stats) = self.source.shard_stats() {
             let shards = Value::Array(
-                cluster
-                    .occupancy()
+                stats
+                    .occupancy
                     .iter()
                     .map(|o| {
                         Value::Object(vec![
@@ -673,10 +644,10 @@ impl<N: ServerNet> Server<N> {
             sections.push((
                 "shards".to_string(),
                 Value::Object(vec![
-                    ("count".to_string(), u(cluster.shard_count() as u64)),
-                    ("alive".to_string(), u(cluster.alive_shards().len() as u64)),
-                    ("epoch".to_string(), u(cluster.epoch())),
-                    ("rebalances".to_string(), u(cluster.rebalances())),
+                    ("count".to_string(), u(stats.count as u64)),
+                    ("alive".to_string(), u(stats.alive as u64)),
+                    ("epoch".to_string(), u(stats.epoch)),
+                    ("rebalances".to_string(), u(stats.rebalances)),
                     ("occupancy".to_string(), shards),
                 ]),
             ));
@@ -825,7 +796,8 @@ mod tests {
         }
         let net = Arc::new(SimNet::new());
         let metrics = MetricsRegistry::new();
-        let server = Server::new(Arc::clone(&net), config, registry, store)
+        let source = Arc::new(LocalSource::new(store, registry.clone()));
+        let server = Server::new(Arc::clone(&net), config, registry, source)
             .with_bus(Arc::clone(&bus))
             .with_metrics(metrics);
         World {
@@ -1092,9 +1064,12 @@ mod tests {
         }
         cluster.fence();
         let net = Arc::new(SimNet::new());
-        let store = Arc::new(TimeSeriesStore::with_capacity(16));
-        let mut server = Server::new(Arc::clone(&net), ServingConfig::default(), registry, store)
-            .with_cluster(Arc::clone(&cluster));
+        let mut server = Server::new(
+            Arc::clone(&net),
+            ServingConfig::default(),
+            registry,
+            cluster,
+        );
 
         let conn = net.connect();
         net.client_send(conn, raw.as_bytes());
@@ -1307,9 +1282,10 @@ mod tests {
         let registry = SensorRegistry::new();
         registry.register("/hw/n0/power", SensorKind::Power, Unit::Watts);
         let store = Arc::new(TimeSeriesStore::with_capacity(64));
+        let source = Arc::new(LocalSource::new(store, registry.clone()));
         let net = Arc::new(RealNet::bind("127.0.0.1:0").expect("bind loopback"));
         let addr = net.local_addr().expect("local addr");
-        let mut server = Server::new(Arc::clone(&net), ServingConfig::default(), registry, store);
+        let mut server = Server::new(Arc::clone(&net), ServingConfig::default(), registry, source);
 
         let mut client = std::net::TcpStream::connect(addr).expect("connect");
         client

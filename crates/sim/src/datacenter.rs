@@ -42,6 +42,7 @@ use oda_serve::server::Server;
 use oda_telemetry::bus::TelemetryBus;
 use oda_telemetry::cluster::{ClusterConfig, ClusterCoordinator};
 use oda_telemetry::metrics::MetricsRegistry;
+use oda_telemetry::query::{LocalSource, Source};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use oda_telemetry::storage::{
@@ -784,24 +785,22 @@ impl DataCenter {
     }
 
     /// Builds a multi-tenant query/subscription frontend over `net`, wired
-    /// to this site's registry, hot store, telemetry bus and metrics
-    /// registry. Quotas and cache sizing come from
-    /// [`DataCenterBuilder::serving`]. Drive it with
-    /// [`Server::poll`] from the experiment loop (or a
-    /// [`oda_serve::net::RealNet`] listener thread).
+    /// to this site's registry, telemetry bus and metrics registry. Queries
+    /// read the collector cluster on a sharded site and the hot store
+    /// otherwise, bit-identically. Quotas and cache sizing come from
+    /// [`DataCenterBuilder::serving`]. Drive it with [`Server::poll`] from
+    /// the experiment loop (or a [`oda_serve::net::RealNet`] listener thread).
     pub fn serve<N: ServerNet>(&self, net: Arc<N>) -> Server<N> {
-        let server = Server::new(
-            net,
-            self.serving.clone(),
-            self.registry.clone(),
-            Arc::clone(self.store()),
-        )
-        .with_bus(Arc::clone(&self.bus))
-        .with_metrics(self.metrics().clone());
-        match &self.cluster {
-            Some(cluster) => server.with_cluster(Arc::clone(cluster)),
-            None => server,
-        }
+        let source: Arc<dyn Source> = match &self.cluster {
+            Some(cluster) => cluster.clone(),
+            None => Arc::new(LocalSource::new(
+                Arc::clone(self.store()),
+                self.registry.clone(),
+            )),
+        };
+        Server::new(net, self.serving.clone(), self.registry.clone(), source)
+            .with_bus(Arc::clone(&self.bus))
+            .with_metrics(self.metrics().clone())
     }
 
     /// Builds the archive backend selected by `config.storage` over `fs`

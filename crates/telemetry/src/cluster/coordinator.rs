@@ -27,7 +27,10 @@
 //! Every step is either per-sensor-identical or a deterministic
 //! reassembly, so [`QueryResult::digest`] is bit-identical at any shard
 //! count, including `shards = 1` — the property `tests/cluster.rs` and
-//! the scale bench's exit gate assert.
+//! the scale bench's exit gate assert. Readers therefore see the
+//! coordinator as one more [`Source`]. Every shard command leaves through
+//! one `scatter` helper; each caller decides whether its guard spans the
+//! gather.
 //!
 //! # Rebalance protocol
 //!
@@ -45,12 +48,12 @@ use crate::cluster::placement::{PlacementMap, ShardId};
 use crate::cluster::shard::{EdgeTask, ShardCmd, ShardHandle, ShardHealth};
 use crate::cluster::ClusterConfig;
 use crate::metrics::MetricsRegistry;
-use crate::query::{align_buckets, Bucket, Query, QueryResult, ResultData, SensorSelector, Shape};
+use crate::query::{align_buckets, Query, QueryResult, ResultData, SensorSelector, Shape, Source};
 use crate::reading::{Reading, ReadingBatch, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
 use crate::storage::engine::PersistentEngine;
 use crate::storage::{FsError, SimFs, StorageFs};
-use crossbeam_channel::bounded;
+use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,6 +75,22 @@ pub struct ShardOccupancy {
     pub durable_len: u64,
     /// Batches the shard has published since spawn.
     pub published: u64,
+}
+
+/// Shard membership plus per-shard occupancy: the `/api/v1/stats`
+/// `shards` section, as reported by [`Source::shard_stats`].
+#[derive(Debug, Clone)]
+pub struct ShardStats {
+    /// Configured shard count (alive or not).
+    pub count: usize,
+    /// Alive shards.
+    pub alive: usize,
+    /// Membership epoch.
+    pub epoch: u64,
+    /// Rebalances performed so far.
+    pub rebalances: u64,
+    /// One entry per configured shard.
+    pub occupancy: Vec<ShardOccupancy>,
 }
 
 struct State {
@@ -147,16 +166,6 @@ impl ClusterCoordinator {
         self.state.read().rebalances
     }
 
-    /// The registry shared by every shard's query engine.
-    pub fn registry(&self) -> &SensorRegistry {
-        &self.registry
-    }
-
-    /// The shard currently owning `sensor`.
-    pub fn owner(&self, sensor: SensorId) -> ShardId {
-        self.state.read().placement.owner(sensor)
-    }
-
     /// Routes one batch to the shard owning its sensor. Returns `false`
     /// if the owner's queue is disconnected (only possible mid-shutdown).
     pub fn ingest(&self, batch: ReadingBatch) -> bool {
@@ -186,18 +195,7 @@ impl ClusterCoordinator {
     /// given; patterns matched against the registry in ascending id
     /// order).
     pub fn resolve(&self, query: &Query) -> Vec<SensorId> {
-        self.resolve_selector(&query.selector)
-    }
-
-    fn resolve_selector(&self, selector: &SensorSelector) -> Vec<SensorId> {
-        match selector {
-            SensorSelector::Ids(ids) => ids.clone(),
-            SensorSelector::Pattern(pattern) => {
-                let mut ids = self.registry.matching(pattern);
-                ids.sort_unstable_by_key(|s| s.index());
-                ids
-            }
-        }
+        query.selector.resolve(Some(&self.registry))
     }
 
     /// Snapshots per-sensor store versions from the owning shards, in
@@ -206,36 +204,22 @@ impl ClusterCoordinator {
     /// serving layer's result cache.
     pub fn sensor_versions(&self, sensors: &[SensorId]) -> Vec<u64> {
         let state = self.state.read();
-        let mut parts: BTreeMap<ShardId, Vec<(usize, SensorId)>> = BTreeMap::new();
-        for (pos, &s) in sensors.iter().enumerate() {
-            parts
-                .entry(state.placement.owner(s))
-                .or_default()
-                .push((pos, s));
-        }
-        let mut out = vec![0u64; sensors.len()];
-        let mut pending = Vec::new();
-        for (shard, slice) in &parts {
-            let Some(Some(h)) = state.shards.get(shard.index()) else {
-                continue;
-            };
-            let (reply, rx) = bounded(1);
-            let sensors: Vec<SensorId> = slice.iter().map(|&(_, s)| s).collect();
-            if h.tx.send(ShardCmd::Versions { sensors, reply }).is_ok() {
-                pending.push((slice, rx));
-            }
-        }
+        let pending = scatter(
+            &state,
+            by_owner(&state.placement, sensors),
+            |slice, reply| ShardCmd::Versions {
+                sensors: slice.iter().map(|&(_, s)| s).collect(),
+                reply,
+            },
+        );
         // Gather outside the lock: a slow shard must not stall placement
         // writers. Replies are routed by `reply` channel, not identity,
         // so a concurrent failover cannot misdirect them.
         drop(state);
+        let mut out = vec![0u64; sensors.len()];
         for (slice, rx) in pending {
             if let Ok(versions) = rx.recv() {
-                for (&(pos, _), v) in slice.iter().zip(versions) {
-                    if let Some(slot) = out.get_mut(pos) {
-                        *slot = v;
-                    }
-                }
+                slot_back(&mut out, &slice, versions);
             }
         }
         out
@@ -247,15 +231,7 @@ impl ClusterCoordinator {
     /// into the sensor's resolved position. Bit-identical to unsharded
     /// execution at any shard count (see the module docs).
     pub fn query(&self, query: Query) -> QueryResult {
-        let sensors = self.resolve_selector(&query.selector);
-        let state = self.state.read();
-        let mut parts: BTreeMap<ShardId, Vec<(usize, SensorId)>> = BTreeMap::new();
-        for (pos, &s) in sensors.iter().enumerate() {
-            parts
-                .entry(state.placement.owner(s))
-                .or_default()
-                .push((pos, s));
-        }
+        let sensors = self.resolve(&query);
         // Aligned queries cannot be executed per-shard directly (the
         // union grid spans all sensors), but their per-sensor core —
         // mean-bucketing at the requested width — is exactly a bucket
@@ -267,108 +243,59 @@ impl ClusterCoordinator {
             },
             other => other,
         };
-        // Scatter in ascending shard-id order (BTreeMap iteration)...
-        let mut pending = Vec::new();
-        for (shard, slice) in &parts {
-            let Some(Some(h)) = state.shards.get(shard.index()) else {
-                continue;
-            };
-            let sub = Query {
-                selector: SensorSelector::Ids(slice.iter().map(|&(_, s)| s).collect()),
-                range: query.range,
-                rate: query.rate,
-                raw_only: query.raw_only,
-                shape: sub_shape,
-            };
-            let (reply, rx) = bounded(1);
-            if h.tx.send(ShardCmd::Query { query: sub, reply }).is_ok() {
-                pending.push((slice, rx));
-            }
-        }
-        // ...and gather in the same order: a shard-id-sorted fold into
+        let state = self.state.read();
+        let pending = scatter(
+            &state,
+            by_owner(&state.placement, &sensors),
+            |slice, reply| {
+                let selector = SensorSelector::Ids(slice.iter().map(|&(_, s)| s).collect());
+                let query = Query {
+                    selector,
+                    shape: sub_shape,
+                    ..query
+                };
+                ShardCmd::Query { query, reply }
+            },
+        );
+        // Gather in scatter order: a shard-id-sorted fold into
         // position-addressed slots, independent of reply timing. The
         // guard drops first — shard-local query execution must not block
         // placement writers.
         drop(state);
-        match query.shape {
-            Shape::Readings => {
-                let mut slots: Vec<Vec<Reading>> = vec![Vec::new(); sensors.len()];
-                for (slice, rx) in pending {
-                    if let Ok(partial) = rx.recv() {
-                        if let ResultData::Series(series) = partial.shape {
-                            slot_back(&mut slots, slice, series);
-                        }
-                    }
-                }
-                QueryResult {
-                    sensors,
-                    shape: ResultData::Series(slots),
-                }
-            }
-            Shape::Buckets { .. } => {
-                let mut slots: Vec<Vec<Bucket>> = vec![Vec::new(); sensors.len()];
-                for (slice, rx) in pending {
-                    if let Ok(partial) = rx.recv() {
-                        if let ResultData::Buckets(series) = partial.shape {
-                            slot_back(&mut slots, slice, series);
-                        }
-                    }
-                }
-                QueryResult {
-                    sensors,
-                    shape: ResultData::Buckets(slots),
-                }
-            }
-            Shape::Scalars(_) => {
-                let mut slots: Vec<Option<f64>> = vec![None; sensors.len()];
-                for (slice, rx) in pending {
-                    if let Ok(partial) = rx.recv() {
-                        if let ResultData::Scalars(values) = partial.shape {
-                            slot_back(&mut slots, slice, values);
-                        }
-                    }
-                }
-                QueryResult {
-                    sensors,
-                    shape: ResultData::Scalars(slots),
-                }
-            }
-            Shape::Aligned { .. } => {
-                let mut slots: Vec<Vec<Bucket>> = vec![Vec::new(); sensors.len()];
-                for (slice, rx) in pending {
-                    if let Ok(partial) = rx.recv() {
-                        if let ResultData::Buckets(series) = partial.shape {
-                            slot_back(&mut slots, slice, series);
-                        }
-                    }
-                }
-                let (grid, matrix) = align_buckets(&slots);
-                QueryResult {
-                    sensors,
-                    shape: ResultData::Aligned { grid, matrix },
-                }
+        let n = sensors.len();
+        let mut gathered = match sub_shape {
+            Shape::Readings => ResultData::Series(vec![Vec::new(); n]),
+            Shape::Scalars(_) => ResultData::Scalars(vec![None; n]),
+            _ => ResultData::Buckets(vec![Vec::new(); n]),
+        };
+        for (slice, rx) in pending {
+            let Ok(partial) = rx.recv() else { continue };
+            match (&mut gathered, partial.shape) {
+                (ResultData::Series(slots), ResultData::Series(p)) => slot_back(slots, &slice, p),
+                (ResultData::Buckets(slots), ResultData::Buckets(p)) => slot_back(slots, &slice, p),
+                (ResultData::Scalars(slots), ResultData::Scalars(p)) => slot_back(slots, &slice, p),
+                _ => {}
             }
         }
+        let shape = match (query.shape, gathered) {
+            (Shape::Aligned { .. }, ResultData::Buckets(slots)) => {
+                let (grid, matrix) = align_buckets(&slots);
+                ResultData::Aligned { grid, matrix }
+            }
+            (_, data) => data,
+        };
+        QueryResult { sensors, shape }
     }
 
     /// Health reports from every alive shard, in ascending shard order.
     pub fn health(&self) -> Vec<ShardHealth> {
         let state = self.state.read();
-        let mut pending = Vec::new();
-        for id in state.placement.alive() {
-            let Some(Some(h)) = state.shards.get(id.index()) else {
-                continue;
-            };
-            let (reply, rx) = bounded(1);
-            if h.tx.send(ShardCmd::Health { reply }).is_ok() {
-                pending.push(rx);
-            }
-        }
+        let pending = scatter(&state, alive(&state), |_, reply| ShardCmd::Health { reply });
         // Gather with the lock released; see `query`.
         drop(state);
         pending
             .into_iter()
-            .filter_map(|rx| rx.recv().ok())
+            .filter_map(|(_, rx)| rx.recv().ok())
             .collect()
     }
 
@@ -392,11 +319,8 @@ impl ClusterCoordinator {
                 ShardOccupancy {
                     shard,
                     alive,
-                    sensors_owned: if alive {
-                        owned.get(i).copied().unwrap_or(0)
-                    } else {
-                        0
-                    },
+                    // The ring never maps a sensor to a failed shard.
+                    sensors_owned: owned.get(i).copied().unwrap_or(0),
                     readings: h.map(|h| h.report.total_len() as u64).unwrap_or(0),
                     evicted: h.map(|h| h.report.total_evicted()).unwrap_or(0),
                     durable_len: h.map(|h| h.durable_len).unwrap_or(0),
@@ -411,20 +335,10 @@ impl ClusterCoordinator {
     /// shard order.
     pub fn run_edge(&self, task: EdgeTask) -> Vec<(ShardId, Vec<(String, f64)>)> {
         let state = self.state.read();
-        let mut pending = Vec::new();
-        for id in state.placement.alive() {
-            let Some(Some(h)) = state.shards.get(id.index()) else {
-                continue;
-            };
-            let (reply, rx) = bounded(1);
-            let cmd = ShardCmd::Edge {
-                task: Arc::clone(&task),
-                reply,
-            };
-            if h.tx.send(cmd).is_ok() {
-                pending.push((id, rx));
-            }
-        }
+        let pending = scatter(&state, alive(&state), |_, reply| ShardCmd::Edge {
+            task: Arc::clone(&task),
+            reply,
+        });
         // Gather with the lock released; see `query`.
         drop(state);
         pending
@@ -537,6 +451,30 @@ impl ClusterCoordinator {
     }
 }
 
+impl Source for ClusterCoordinator {
+    fn resolve(&self, query: &Query) -> Vec<SensorId> {
+        ClusterCoordinator::resolve(self, query)
+    }
+
+    fn versions(&self, sensors: &[SensorId]) -> Vec<u64> {
+        self.sensor_versions(sensors)
+    }
+
+    fn query(&self, query: Query) -> QueryResult {
+        ClusterCoordinator::query(self, query)
+    }
+
+    fn shard_stats(&self) -> Option<ShardStats> {
+        Some(ShardStats {
+            occupancy: self.occupancy(),
+            count: self.shard_count(),
+            alive: self.alive_shards().len(),
+            epoch: self.epoch(),
+            rebalances: self.rebalances(),
+        })
+    }
+}
+
 impl Drop for ClusterCoordinator {
     fn drop(&mut self) {
         let state = self.state.get_mut();
@@ -548,19 +486,50 @@ impl Drop for ClusterCoordinator {
     }
 }
 
-/// Sends a fence to every alive shard and waits for all replies.
-fn fence_alive(state: &State) {
+/// Every alive shard as a scatter target keyed by its id, ascending.
+fn alive(state: &State) -> impl Iterator<Item = (ShardId, ShardId)> {
+    state.placement.alive().into_iter().map(|id| (id, id))
+}
+
+/// Groups `sensors` by owning shard, ascending, pairing each sensor with
+/// its position in `sensors`.
+fn by_owner(
+    placement: &PlacementMap,
+    sensors: &[SensorId],
+) -> BTreeMap<ShardId, Vec<(usize, SensorId)>> {
+    let mut parts: BTreeMap<ShardId, Vec<(usize, SensorId)>> = BTreeMap::new();
+    for (pos, &s) in sensors.iter().enumerate() {
+        parts.entry(placement.owner(s)).or_default().push((pos, s));
+    }
+    parts
+}
+
+/// The one scatter: sends each target shard the command `cmd` builds from
+/// the target's key and a fresh reply sender, and returns the reply
+/// receivers in target order (callers pass targets in ascending shard
+/// order). A shard missing from the table or with a disconnected queue is
+/// skipped. The caller decides whether its guard spans the gather.
+fn scatter<K, T>(
+    state: &State,
+    targets: impl IntoIterator<Item = (ShardId, K)>,
+    mut cmd: impl FnMut(&K, Sender<T>) -> ShardCmd,
+) -> Vec<(K, Receiver<T>)> {
     let mut pending = Vec::new();
-    for id in state.placement.alive() {
-        let Some(Some(h)) = state.shards.get(id.index()) else {
+    for (shard, key) in targets {
+        let Some(Some(h)) = state.shards.get(shard.index()) else {
             continue;
         };
         let (reply, rx) = bounded(1);
-        if h.tx.send(ShardCmd::Fence { reply }).is_ok() {
-            pending.push(rx);
+        if h.tx.send(cmd(&key, reply)).is_ok() {
+            pending.push((key, rx));
         }
     }
-    for rx in pending {
+    pending
+}
+
+/// Sends a fence to every alive shard and waits for all replies.
+fn fence_alive(state: &State) {
+    for (_, rx) in scatter(state, alive(state), |_, reply| ShardCmd::Fence { reply }) {
         let _ = rx.recv();
     }
 }
@@ -573,6 +542,147 @@ fn slot_back<T>(slots: &mut [T], slice: &[(usize, SensorId)], partials: Vec<T>) 
     for (&(pos, _), partial) in slice.iter().zip(partials) {
         if let Some(slot) = slots.get_mut(pos) {
             *slot = partial;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::EdgeView;
+    use crate::query::{Aggregation, QueryEngine, TimeRange};
+    use crate::sensor::{SensorKind, Unit};
+    use crate::store::TimeSeriesStore;
+    use parking_lot::Mutex;
+    use std::thread::JoinHandle;
+
+    /// A 4-shard coordinator and an unsharded store built like one shard's,
+    /// both fed the same 20 readings for each of 32 sensors.
+    fn fed() -> (ClusterCoordinator, TimeSeriesStore, SensorRegistry) {
+        let registry = SensorRegistry::new();
+        let cfg = ClusterConfig::with_shards(4);
+        let store = TimeSeriesStore::with_rollups(
+            cfg.per_sensor_capacity,
+            TimeSeriesStore::DEFAULT_SHARDS,
+            MetricsRegistry::new(),
+            cfg.rollups.clone(),
+        );
+        let c = ClusterCoordinator::new(cfg, registry.clone()).expect("shards open over SimFs");
+        for node in 0..8 {
+            for metric in ["power", "temp", "util", "fan"] {
+                let id = registry.register(
+                    &format!("/hw/node{node}/{metric}"),
+                    SensorKind::Power,
+                    Unit::Watts,
+                );
+                for t in 0..20u64 {
+                    let r = Reading::new(
+                        Timestamp::from_millis(t * 700),
+                        f64::from(id.0) * 3.0 + (t % 7) as f64,
+                    );
+                    store.insert(id, r);
+                    assert!(c.ingest(ReadingBatch::single(id, r)));
+                }
+            }
+        }
+        c.fence();
+        (c, store, registry)
+    }
+
+    type Tally = Arc<Mutex<BTreeMap<(u32, &'static str), u64>>>;
+
+    /// Puts a relay in front of every alive shard's queue that tallies
+    /// each command under (shard, kind) and forwards it unchanged, so FIFO
+    /// order and replies are untouched.
+    fn count_commands(c: &ClusterCoordinator) -> (Tally, Vec<JoinHandle<()>>) {
+        let tally = Tally::default();
+        let mut relays = Vec::new();
+        let mut state = c.state.write();
+        for (i, slot) in state.shards.iter_mut().enumerate() {
+            let Some(h) = slot else { continue };
+            let (tx, rx) = bounded::<ShardCmd>(16);
+            let shard_tx = std::mem::replace(&mut h.tx, tx);
+            let tally = Arc::clone(&tally);
+            relays.push(std::thread::spawn(move || {
+                while let Ok(cmd) = rx.recv() {
+                    let kind = match &cmd {
+                        ShardCmd::Ingest(_) => "ingest",
+                        ShardCmd::Query { .. } => "query",
+                        ShardCmd::Versions { .. } => "versions",
+                        ShardCmd::Health { .. } => "health",
+                        ShardCmd::Edge { .. } => "edge",
+                        ShardCmd::Fence { .. } => "fence",
+                        ShardCmd::Stop { .. } => "stop",
+                    };
+                    *tally.lock().entry((i as u32, kind)).or_default() += 1;
+                    if shard_tx.send(cmd).is_err() {
+                        return;
+                    }
+                }
+            }));
+        }
+        (tally, relays)
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn every_scatter_reaches_each_alive_shard_exactly_once() {
+        let (c, _, _) = fed();
+        assert!(c.fail_shard(ShardId(1)));
+        let alive: Vec<u32> = c.alive_shards().iter().map(|s| s.0).collect();
+        assert_eq!(alive, [0, 2, 3]);
+        let (tally, relays) = count_commands(&c);
+
+        let all = c.resolve(&Query::sensors("/**"));
+        assert_eq!(all.len(), 32);
+        let means = c
+            .query(Query::sensors("/**").aggregate(Aggregation::Mean))
+            .scalars();
+        assert!(means.iter().all(Option::is_some), "a slice went missing");
+        let versions = c.sensor_versions(&all);
+        assert!(versions.iter().all(|&v| v > 0), "{versions:?}");
+        let occupancy = c.occupancy();
+        assert_eq!(occupancy.iter().filter(|o| o.alive).count(), 3);
+        let edge: Vec<u32> = c
+            .run_edge(Arc::new(|_: &EdgeView<'_>| Vec::new()))
+            .iter()
+            .map(|(s, _)| s.0)
+            .collect();
+        assert_eq!(edge, alive, "edge replies gather in ascending shard order");
+        c.fence();
+
+        let got = tally.lock().clone();
+        let expected: BTreeMap<(u32, &'static str), u64> = alive
+            .iter()
+            .flat_map(|&s| {
+                ["query", "versions", "health", "edge", "fence"].map(|kind| ((s, kind), 1))
+            })
+            .collect();
+        assert_eq!(got, expected);
+        drop(c);
+        for relay in relays {
+            relay.join().expect("relay thread");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn pattern_queries_match_the_unsharded_engine() {
+        let (c, store, registry) = fed();
+        let engine = QueryEngine::new(&store).with_registry(registry);
+        let window = TimeRange::new(
+            Timestamp::from_millis(1_000),
+            Timestamp::from_millis(12_000),
+        );
+        for q in [
+            Query::sensors("/hw/*/power"),
+            Query::sensors("/hw/node3/*").range(window).rate(),
+            Query::sensors("/hw/**").downsample(2_000, Aggregation::Max),
+            Query::sensors("/hw/*/temp").aggregate(Aggregation::Quantile(0.9)),
+            Query::sensors("/hw/*/fan").range(window).align(1_500),
+        ] {
+            assert_eq!(c.resolve(&q), engine.resolve(&q));
+            assert_eq!(c.query(q.clone()).digest(), q.run(&engine).digest());
         }
     }
 }

@@ -19,14 +19,14 @@
 //!
 //! Operator placement follows the edge/global split: shard-local "edge"
 //! tasks ([`EdgeTask`]) run on each shard's own thread against its local
-//! store, while global consumers read gathered aggregates through
-//! [`ClusterCoordinator::query`].
+//! store, while global consumers read gathered aggregates through the
+//! coordinator's [`crate::query::Source`] implementation.
 
 mod coordinator;
 pub mod placement;
 mod shard;
 
-pub use coordinator::{ClusterCoordinator, ShardOccupancy};
+pub use coordinator::{ClusterCoordinator, ShardOccupancy, ShardStats};
 pub use placement::{PlacementMap, ShardId};
 pub use shard::{EdgeTask, EdgeView, ShardHealth};
 

@@ -22,7 +22,8 @@
 //! 4. [`query`] — the [`query::QueryEngine`] evaluates range queries,
 //!    aggregations, downsampling and series alignment over the store,
 //!    serving decomposable aggregations from rollup tiers instead of raw
-//!    scans.
+//!    scans; [`query::Source`] is the one read interface over a store or
+//!    a cluster.
 //! 5. [`alert`] — threshold alert rules provide the "automated alerts upon
 //!    exceeding human-defined thresholds" that the paper lists as part of
 //!    descriptive ODA.
@@ -84,13 +85,14 @@ pub mod prelude {
     pub use crate::bus::{Subscription, SubscriptionBuilder, TelemetryBus};
     pub use crate::cluster::{
         ClusterConfig, ClusterCoordinator, EdgeTask, EdgeView, PlacementMap, ShardHealth, ShardId,
-        ShardOccupancy,
+        ShardOccupancy, ShardStats,
     };
     pub use crate::health::{HealthReport, SensorHealth, TierOccupancy};
     pub use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Timer};
     pub use crate::pattern::SensorPattern;
     pub use crate::query::{
-        Aggregation, Query, QueryEngine, QueryParseError, QueryResult, SensorSelector, TimeRange,
+        Aggregation, LocalSource, Query, QueryEngine, QueryParseError, QueryResult, SensorSelector,
+        Source, TimeRange,
     };
     pub use crate::reading::{Reading, Timestamp};
     pub use crate::sensor::{SensorId, SensorKind, SensorMeta, SensorRegistry, Unit};

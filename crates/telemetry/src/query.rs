@@ -5,7 +5,7 @@
 //! answer takes — raw readings, fixed-width [`Bucket`]s, per-sensor scalars,
 //! or a timestamp-aligned matrix (the multi-dimensional input the paper's
 //! diagnostic techniques ingest). All of it composes into a single planned
-//! scan executed by [`Query::run`] against a [`QueryEngine`]:
+//! scan executed by [`Query::run`] against any [`Source`], here a [`QueryEngine`]:
 //!
 //! ```
 //! use oda_telemetry::prelude::*;
@@ -55,6 +55,7 @@ use crate::sensor::{SensorId, SensorRegistry};
 use crate::storage::codec::fnv1a64;
 use crate::store::{RollupBucket, TierScanResult, TimeSeriesStore};
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// Half-open query interval `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -145,6 +146,31 @@ pub enum SensorSelector {
     /// All sensors whose name matches, in ascending id order (deterministic).
     /// Requires an engine built with [`QueryEngine::with_registry`].
     Pattern(SensorPattern),
+}
+
+impl SensorSelector {
+    /// The concrete ordered sensor list: explicit ids as given, a pattern
+    /// matched against `registry` in ascending id order.
+    ///
+    /// # Panics
+    /// Panics if the selector is a pattern and `registry` is `None`.
+    pub(crate) fn resolve(&self, registry: Option<&SensorRegistry>) -> Vec<SensorId> {
+        match self {
+            SensorSelector::Ids(ids) => ids.clone(),
+            SensorSelector::Pattern(pattern) => {
+                let registry = registry.unwrap_or_else(|| {
+                    panic!(
+                        "pattern query {:?} needs a registry; build the engine with \
+                         QueryEngine::new(store).with_registry(registry)",
+                        pattern.as_str()
+                    )
+                });
+                let mut ids = registry.matching(pattern);
+                ids.sort_unstable_by_key(|s| s.index());
+                ids
+            }
+        }
+    }
 }
 
 impl From<SensorId> for SensorSelector {
@@ -317,13 +343,14 @@ impl Query {
         self.set_shape(Shape::Aligned { bucket_ms })
     }
 
-    /// Executes the query as one planned scan.
+    /// Executes the query as one planned scan against any [`Source`]: a
+    /// [`QueryEngine`], a [`LocalSource`] or a cluster coordinator.
     ///
     /// # Panics
-    /// Panics if the selector is a pattern and `engine` has no registry
+    /// Panics if the selector is a pattern and `source` has no registry
     /// attached (see [`QueryEngine::with_registry`]).
-    pub fn run(self, engine: &QueryEngine<'_>) -> QueryResult {
-        engine.execute(self)
+    pub fn run<S: Source + ?Sized>(self, source: &S) -> QueryResult {
+        source.query(self)
     }
 
     /// Renders the query as its **canonical wire representation** — the one
@@ -921,6 +948,33 @@ fn shape_name(d: &ResultData) -> &'static str {
     }
 }
 
+/// One read interface over archived telemetry, whatever its layout: a
+/// local store ([`QueryEngine`], [`LocalSource`]) or the sharded collector
+/// hierarchy ([`crate::cluster::ClusterCoordinator`]). Every source answers
+/// a query bit-identically, so readers hold an `Arc<dyn Source>` and never
+/// branch on how collection is laid out.
+pub trait Source: Send + Sync {
+    /// Resolves `query`'s selector to the ordered sensor list
+    /// [`Source::query`] would scan, without executing anything.
+    ///
+    /// # Panics
+    /// Panics if the selector is a pattern and the source has no registry.
+    fn resolve(&self, query: &Query) -> Vec<SensorId>;
+
+    /// Per-sensor store versions ([`TimeSeriesStore::sensor_version`]) in
+    /// the given order, for result-cache validation.
+    fn versions(&self, sensors: &[SensorId]) -> Vec<u64>;
+
+    /// Executes `query` as one planned scan.
+    fn query(&self, query: Query) -> QueryResult;
+
+    /// Shard membership and occupancy for `/api/v1/stats`; `None` for an
+    /// unsharded source.
+    fn shard_stats(&self) -> Option<crate::cluster::ShardStats> {
+        None
+    }
+}
+
 /// Read-side engine over a [`TimeSeriesStore`].
 ///
 /// Records `query_total` / `query_scan_ns` / `query_readings_scanned_total`
@@ -964,43 +1018,23 @@ impl<'a> QueryEngine<'a> {
         self.registry = Some(registry);
         self
     }
+}
 
-    /// Resolves `query`'s selector to the concrete sensor list
-    /// [`Query::run`] would scan, without executing anything. The serving
-    /// layer snapshots per-sensor store versions
-    /// ([`TimeSeriesStore::sensor_version`]) for this list *before*
-    /// executing a query it intends to cache: if a write lands mid-
-    /// execution the recorded versions are already stale, so the entry can
-    /// only miss — never serve a result computed from different state.
-    ///
-    /// # Panics
-    /// Panics if the selector is a pattern and the engine has no registry
-    /// attached, exactly as [`Query::run`] would.
-    pub fn resolve_sensors(&self, query: &Query) -> Vec<SensorId> {
-        self.resolve(query.selector.clone())
+impl Source for QueryEngine<'_> {
+    fn resolve(&self, query: &Query) -> Vec<SensorId> {
+        query.selector.resolve(self.registry.as_ref())
     }
 
-    fn resolve(&self, selector: SensorSelector) -> Vec<SensorId> {
-        match selector {
-            SensorSelector::Ids(ids) => ids,
-            SensorSelector::Pattern(pattern) => {
-                let registry = self.registry.as_ref().unwrap_or_else(|| {
-                    panic!(
-                        "pattern query {:?} needs a registry; build the engine with \
-                         QueryEngine::new(store).with_registry(registry)",
-                        pattern.as_str()
-                    )
-                });
-                let mut ids = registry.matching(&pattern);
-                ids.sort_unstable_by_key(|s| s.index());
-                ids
-            }
-        }
+    fn versions(&self, sensors: &[SensorId]) -> Vec<u64> {
+        sensors
+            .iter()
+            .map(|&s| self.store.sensor_version(s))
+            .collect()
     }
 
-    fn execute(&self, query: Query) -> QueryResult {
+    fn query(&self, query: Query) -> QueryResult {
         let timer = self.m_scan_ns.start_timer();
-        let sensors = self.resolve(query.selector);
+        let sensors = query.selector.resolve(self.registry.as_ref());
         let range = query.range;
         // Which store alignment (if any) lets rollup tiers serve this shape
         // exactly: `Some(None)` = any tier width, `Some(Some(w))` = only
@@ -1105,6 +1139,39 @@ impl<'a> QueryEngine<'a> {
         self.m_query_total.inc();
         self.m_scan_ns.observe_timer(timer);
         QueryResult { sensors, shape }
+    }
+}
+
+/// An owning [`Source`] over one local store and its registry, for readers
+/// that outlive any borrow (the serving frontend, a capability). Every call
+/// delegates to a [`QueryEngine`] over the store.
+pub struct LocalSource {
+    store: Arc<TimeSeriesStore>,
+    registry: SensorRegistry,
+}
+
+impl LocalSource {
+    /// A source over `store`, resolving patterns against `registry`.
+    pub fn new(store: Arc<TimeSeriesStore>, registry: SensorRegistry) -> Self {
+        LocalSource { store, registry }
+    }
+
+    fn engine(&self) -> QueryEngine<'_> {
+        QueryEngine::new(&self.store).with_registry(self.registry.clone())
+    }
+}
+
+impl Source for LocalSource {
+    fn resolve(&self, query: &Query) -> Vec<SensorId> {
+        self.engine().resolve(query)
+    }
+
+    fn versions(&self, sensors: &[SensorId]) -> Vec<u64> {
+        self.engine().versions(sensors)
+    }
+
+    fn query(&self, query: Query) -> QueryResult {
+        self.engine().query(query)
     }
 }
 

@@ -10,10 +10,11 @@ use hpc_oda::core::grid::{GridCell, GridFootprint};
 use hpc_oda::serve::net::SimNet;
 use hpc_oda::serve::server::Server;
 use hpc_oda::sim::prelude::*;
-use hpc_oda::telemetry::cluster::{ClusterCoordinator, EdgeTask, EdgeView};
+use hpc_oda::telemetry::cluster::{EdgeTask, EdgeView};
 use hpc_oda::telemetry::metrics::MetricsRegistry;
-use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
+use hpc_oda::telemetry::query::{Aggregation, LocalSource, Query, QueryEngine, Source, TimeRange};
 use hpc_oda::telemetry::reading::Timestamp;
+use hpc_oda::telemetry::sensor::SensorId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -39,21 +40,18 @@ fn battery() -> Vec<Query> {
     ]
 }
 
-/// Digests of the battery against an unsharded site's store.
-fn unsharded_digests(dc: &DataCenter) -> Vec<u64> {
-    let engine = QueryEngine::new(dc.store()).with_registry(dc.registry().clone());
+/// The battery through any source: each query's resolved sensor list and
+/// result digest. A site's store and its coordinator must agree on both.
+fn answers(source: &dyn Source) -> Vec<(Vec<SensorId>, u64)> {
     battery()
         .into_iter()
-        .map(|q| q.run(&engine).digest())
+        .map(|q| (source.resolve(&q), q.run(source).digest()))
         .collect()
 }
 
-/// Digests of the battery through a coordinator's scatter-gather path.
-fn sharded_digests(cluster: &ClusterCoordinator) -> Vec<u64> {
-    battery()
-        .into_iter()
-        .map(|q| cluster.query(q).digest())
-        .collect()
+/// The battery against a site's own store, sharded or not.
+fn store_answers(dc: &DataCenter) -> Vec<(Vec<SensorId>, u64)> {
+    answers(&QueryEngine::new(dc.store()).with_registry(dc.registry().clone()))
 }
 
 fn build(seed: u64, shards: usize, schedule: Option<FaultSchedule>) -> DataCenter {
@@ -74,19 +72,19 @@ fn build(seed: u64, shards: usize, schedule: Option<FaultSchedule>) -> DataCente
 
 #[test]
 fn scatter_gather_digests_are_bit_identical_at_any_shard_count() {
-    let baseline = unsharded_digests(&build(31, 0, None));
+    let baseline = store_answers(&build(31, 0, None));
     for shards in [1usize, 2, 4] {
         let dc = build(31, shards, None);
         let cluster = dc.cluster().expect("sharded site has a coordinator");
         assert_eq!(cluster.shard_count(), shards);
         assert_eq!(
-            sharded_digests(cluster),
+            answers(&**cluster),
             baseline,
-            "digests diverged at {shards} shard(s)"
+            "resolution or digests diverged at {shards} shard(s)"
         );
         // The unsharded engine over the same site agrees too: both planes
         // ingested the identical stream.
-        assert_eq!(unsharded_digests(&dc), baseline);
+        assert_eq!(store_answers(&dc), baseline);
     }
 }
 
@@ -102,7 +100,7 @@ fn node_failure_rebalance_loses_no_accepted_reading() {
     // The fault blacks out node1's streams in BOTH worlds; the sharded one
     // additionally loses a collector shard and must rebalance its slice
     // out of the durable tier.
-    let baseline = unsharded_digests(&build(32, 0, Some(schedule(32))));
+    let baseline = store_answers(&build(32, 0, Some(schedule(32))));
     for shards in [2usize, 4] {
         let dc = build(32, shards, Some(schedule(32)));
         let cluster = dc.cluster().expect("sharded site has a coordinator");
@@ -114,7 +112,7 @@ fn node_failure_rebalance_loses_no_accepted_reading() {
         assert_eq!(cluster.alive_shards().len(), shards - 1);
         assert!(cluster.epoch() > 0);
         assert_eq!(
-            sharded_digests(cluster),
+            answers(&**cluster),
             baseline,
             "digests diverged after rebalance at {shards} shard(s)"
         );
@@ -141,7 +139,7 @@ fn node_failure_rebalance_loses_no_accepted_reading() {
         "the restart is still a membership event"
     );
     assert_eq!(cluster.alive_shards().len(), 1);
-    assert_eq!(sharded_digests(cluster), baseline);
+    assert_eq!(answers(&**cluster), baseline);
 }
 
 #[test]
@@ -225,9 +223,10 @@ fn edge_tasks_cover_each_shard_slice_exactly_once() {
     }
 }
 
-/// A global capability that consumes gathered aggregates: through the
-/// coordinator when the site is sharded, straight off the store otherwise.
-struct GlobalMeanKpi;
+/// A global capability that consumes gathered aggregates through whatever
+/// source it was given: the coordinator on a sharded site, the store
+/// otherwise.
+struct GlobalMeanKpi(Arc<dyn Source>);
 
 impl Capability for GlobalMeanKpi {
     fn name(&self) -> &str {
@@ -242,15 +241,10 @@ impl Capability for GlobalMeanKpi {
             hpc_oda::core::pillar::Pillar::BuildingInfrastructure,
         ))
     }
-    fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = Query::sensors("/facility/power/it_kw").aggregate(Aggregation::Mean);
-        let result = match &ctx.cluster {
-            Some(cluster) => cluster.query(q),
-            None => {
-                let engine = QueryEngine::new(&ctx.store).with_registry(ctx.registry.clone());
-                q.run(&engine)
-            }
-        };
+    fn execute(&mut self, _ctx: &CapabilityContext) -> Vec<Artifact> {
+        let result = Query::sensors("/facility/power/it_kw")
+            .aggregate(Aggregation::Mean)
+            .run(&*self.0);
         vec![Artifact::Kpi {
             name: "it_kw_mean".into(),
             value: result.scalar().unwrap_or(f64::NAN),
@@ -274,11 +268,12 @@ fn global_capabilities_see_identical_aggregates_through_the_cluster() {
         sharded.registry().clone(),
         TimeRange::all(),
         sharded.now(),
-    )
-    .with_cluster(Arc::clone(sharded.cluster().expect("sharded site")));
+    );
+    let plain = LocalSource::new(Arc::clone(unsharded.store()), unsharded.registry().clone());
+    let cluster = Arc::clone(sharded.cluster().expect("sharded site"));
 
-    let a = GlobalMeanKpi.execute(&ctx_plain);
-    let b = GlobalMeanKpi.execute(&ctx_cluster);
+    let a = GlobalMeanKpi(Arc::new(plain)).execute(&ctx_plain);
+    let b = GlobalMeanKpi(cluster).execute(&ctx_cluster);
     assert_eq!(a, b, "gathered aggregate diverged from the unsharded KPI");
     assert!(a[0].kpi("it_kw_mean").unwrap().is_finite());
 }

@@ -14,12 +14,12 @@ use hpc_oda::serve::tenant::TenantCounters;
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::bus::TelemetryBus;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
-use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine};
+use hpc_oda::telemetry::query::{Aggregation, LocalSource, Query, QueryEngine};
 use hpc_oda::telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
 use hpc_oda::telemetry::storage::Archive;
 use hpc_oda::telemetry::store::{RollupConfig, TimeSeriesStore};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// (status, lowercased headers, body) of one framed response.
 type Response = (u16, Vec<(String, String)>, Vec<u8>);
@@ -179,7 +179,9 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
     // serving loop answers the same aggregate query over and over. Writer
     // bursts are joined between assertion windows, so every bit-equality
     // comparison runs against a quiescent store — but all folding happened
-    // on the writer threads, concurrently with the preceding lookups.
+    // on the writer threads, concurrently with the preceding lookups. Each
+    // burst ends with one batch per writer published after the round's
+    // racing queries, so every quiescent window opens on an invalidation.
     let registry = SensorRegistry::new();
     let sensors: Vec<_> = (0..8)
         .map(|i| {
@@ -207,7 +209,7 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
         Arc::clone(&net),
         ServingConfig::default().with_tenant("t", TenantQuota::unlimited()),
         registry.clone(),
-        Arc::clone(&store),
+        Arc::new(LocalSource::new(Arc::clone(&store), registry.clone())),
     );
     let wire = Query::sensors("/conc/**")
         .aggregate(Aggregation::Mean)
@@ -217,22 +219,32 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
     let mut hits = 0u64;
     let mut invalidation_misses = 0u64;
     for round in 0..30u64 {
-        // Concurrent fold phase: four writers push interleaved batches.
+        // Concurrent fold phase: four writers push interleaved batches,
+        // then wait for the racing queries and publish one final batch.
+        let racing_done = Arc::new(Barrier::new(5));
         let handles: Vec<_> = (0..4)
             .map(|w| {
                 let bus = Arc::clone(&bus);
                 let sensors = sensors.clone();
+                let racing_done = Arc::clone(&racing_done);
                 std::thread::spawn(move || {
-                    for k in 0..40u64 {
+                    let publish = |k: u64, offset_ms: u64| {
                         let s = sensors[((w + k) % sensors.len() as u64) as usize];
                         bus.publish(ReadingBatch::single(
                             s,
                             Reading::new(
-                                Timestamp::from_millis(round * 40_000 + k * 1000 + w * 7),
+                                Timestamp::from_millis(round * 40_000 + offset_ms + w * 7),
                                 (round * 31 + k * 13 + w) as f64 * 0.5,
                             ),
                         ));
+                    };
+                    for k in 0..40u64 {
+                        publish(k, k * 1000);
                     }
+                    racing_done.wait();
+                    // After the last write at 39_000 + w * 7, before the
+                    // next round's first at 40_000.
+                    publish(40, 39_500);
                 })
             })
             .collect();
@@ -243,6 +255,7 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
             assert_eq!(status, 200);
             assert!(header(&headers, "x-result-digest").is_some());
         }
+        racing_done.wait();
         for h in handles {
             h.join().expect("writer thread");
         }
@@ -273,12 +286,11 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
         );
     }
     assert_eq!(hits, 30);
-    // Usually all 30 rounds re-miss; a racing query that lands after the
-    // final write of a burst legitimately caches the end state, so a few
-    // first-probes may hit. The bulk must still be invalidations.
-    assert!(
-        invalidation_misses >= 20,
-        "writer bursts must invalidate between rounds ({invalidation_misses}/30)"
+    // Every burst's final batches land after its racing queries, so no
+    // racing query can have cached the end state.
+    assert_eq!(
+        invalidation_misses, 30,
+        "writer bursts must invalidate between rounds"
     );
     let stats = server.cache_stats();
     assert!(stats.hits >= 30 && stats.invalidated > 0, "{stats:?}");
