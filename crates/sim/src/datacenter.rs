@@ -1391,6 +1391,7 @@ impl DataCenter {
         one(s.killed_total, stats.killed as f64);
         one(s.active_jobs, self.scheduler.running_len() as f64);
         one(s.arrivals_total, self.arrivals_total as f64);
+        let mut sharded = Vec::with_capacity(self.cluster.as_ref().map_or(0, |_| nominal.len()));
         for (sensor, value) in nominal {
             let reading = Reading::new(now, value);
             let reading = match self.telemetry_faults.as_mut() {
@@ -1401,11 +1402,15 @@ impl DataCenter {
                 None => reading,
             };
             self.bus.publish(ReadingBatch::single(sensor, reading));
-            // The shard hierarchy ingests the identical (post-corruption)
-            // stream, so sharded and unsharded queries answer bit-identically.
-            if let Some(cluster) = &self.cluster {
-                cluster.ingest(ReadingBatch::single(sensor, reading));
+            if self.cluster.is_some() {
+                sharded.push(ReadingBatch::single(sensor, reading));
             }
+        }
+        // The shard hierarchy ingests the identical (post-corruption)
+        // stream, so sharded and unsharded queries answer bit-identically;
+        // it takes the whole tick at once, one command per shard.
+        if let Some(cluster) = &self.cluster {
+            cluster.ingest_all(sharded);
         }
     }
 }

@@ -39,17 +39,19 @@
 //! its virtual nodes from the placement ring (only its sensors remap),
 //! reopen its durable tier ([`PersistentEngine::open`]) from the
 //! surviving filesystem, and replay each moved sensor's readings into
-//! its new owner in acceptance order. Because shards acknowledge an
-//! ingest only after the WAL sync (see [`super::shard`]), no accepted
-//! reading is lost. The last alive shard cannot be removed; failing it
-//! restarts it in place from its own durable tier instead.
+//! its new owner in acceptance order, through the same routing as
+//! [`ClusterCoordinator::ingest_all`]. Because a shard runs no command
+//! after an ingest before the group commit's WAL sync (see
+//! [`super::shard`]), no accepted reading is lost. The last alive shard
+//! cannot be removed; failing it restarts it in place from its own
+//! durable tier instead.
 
 use crate::cluster::placement::{PlacementMap, ShardId};
 use crate::cluster::shard::{EdgeTask, ShardCmd, ShardHandle, ShardHealth};
 use crate::cluster::ClusterConfig;
 use crate::metrics::MetricsRegistry;
 use crate::query::{align_buckets, Query, QueryResult, ResultData, SensorSelector, Shape, Source};
-use crate::reading::{Reading, ReadingBatch, Timestamp};
+use crate::reading::{ReadingBatch, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
 use crate::storage::engine::PersistentEngine;
 use crate::storage::{FsError, SimFs, StorageFs};
@@ -166,15 +168,22 @@ impl ClusterCoordinator {
         self.state.read().rebalances
     }
 
-    /// Routes one batch to the shard owning its sensor. Returns `false`
-    /// if the owner's queue is disconnected (only possible mid-shutdown).
+    /// Routes one batch to the shard owning its sensor; the same as
+    /// [`Self::ingest_all`] with one batch.
     pub fn ingest(&self, batch: ReadingBatch) -> bool {
-        let state = self.state.read();
-        let owner = state.placement.owner(batch.sensor);
-        match state.shards.get(owner.index()) {
-            Some(Some(h)) => h.tx.send(ShardCmd::Ingest(batch)).is_ok(),
-            _ => false,
-        }
+        self.ingest_all(vec![batch])
+    }
+
+    /// Routes batches to the shards owning their sensors: one ingest
+    /// command per owning shard, sent in ascending shard order, each
+    /// holding that shard's batches in their given order. A shard
+    /// group-commits the ingest commands queued back to back with one WAL
+    /// flush, and runs no later command before that flush, so a query or
+    /// [`Self::fence`] issued after this call observes every batch, durably
+    /// (see the `shard` module). Returns `false` if some owner's queue is
+    /// disconnected (only possible mid-shutdown).
+    pub fn ingest_all(&self, batches: Vec<ReadingBatch>) -> bool {
+        route(&self.state.read(), batches)
     }
 
     /// Barrier: returns once every alive shard has drained all commands
@@ -398,25 +407,21 @@ impl ClusterCoordinator {
         if let Ok((engine, _recovery)) =
             PersistentEngine::open(Arc::clone(&fs), self.cfg.storage.engine.clone(), &report)
         {
-            let mut buf: Vec<Reading> = Vec::new();
+            let mut moved = Vec::new();
             for meta in self.registry.all() {
-                buf.clear();
+                let mut readings = Vec::new();
                 if engine
-                    .range_into(meta.id, Timestamp::ZERO, Timestamp(u64::MAX), &mut buf)
-                    .is_err()
-                    || buf.is_empty()
+                    .range_into(meta.id, Timestamp::ZERO, Timestamp(u64::MAX), &mut readings)
+                    .is_ok()
+                    && !readings.is_empty()
                 {
-                    continue;
-                }
-                let owner = state.placement.owner(meta.id);
-                if let Some(Some(h)) = state.shards.get(owner.index()) {
-                    let batch = ReadingBatch {
+                    moved.push(ReadingBatch {
                         sensor: meta.id,
-                        readings: buf.clone(),
-                    };
-                    let _ = h.tx.send(ShardCmd::Ingest(batch));
+                        readings,
+                    });
                 }
             }
+            route(&state, moved);
         }
         // Fence the survivors so the handoff is fully applied (and
         // durable on the new owners) before the failure "completes".
@@ -527,6 +532,27 @@ fn scatter<K, T>(
     pending
 }
 
+/// Sends each owning shard one ingest command with its batches, in
+/// ascending shard order. Returns `false` if some owner is missing from
+/// the table or its queue is disconnected.
+fn route(state: &State, batches: Vec<ReadingBatch>) -> bool {
+    let mut parts: BTreeMap<ShardId, Vec<ReadingBatch>> = BTreeMap::new();
+    for batch in batches {
+        parts
+            .entry(state.placement.owner(batch.sensor))
+            .or_default()
+            .push(batch);
+    }
+    let mut ok = true;
+    for (shard, part) in parts {
+        ok &= match state.shards.get(shard.index()) {
+            Some(Some(h)) => h.tx.send(ShardCmd::Ingest(part)).is_ok(),
+            _ => false,
+        };
+    }
+    ok
+}
+
 /// Sends a fence to every alive shard and waits for all replies.
 fn fence_alive(state: &State) {
     for (_, rx) in scatter(state, alive(state), |_, reply| ShardCmd::Fence { reply }) {
@@ -551,6 +577,7 @@ mod tests {
     use super::*;
     use crate::cluster::EdgeView;
     use crate::query::{Aggregation, QueryEngine, TimeRange};
+    use crate::reading::Reading;
     use crate::sensor::{SensorKind, Unit};
     use crate::store::TimeSeriesStore;
     use parking_lot::Mutex;
@@ -635,6 +662,11 @@ mod tests {
 
         let all = c.resolve(&Query::sensors("/**"));
         assert_eq!(all.len(), 32);
+        let tick: Vec<ReadingBatch> = all
+            .iter()
+            .map(|&s| ReadingBatch::single(s, Reading::new(Timestamp::from_millis(14_000), 1.0)))
+            .collect();
+        assert!(c.ingest_all(tick), "one ingest command per owning shard");
         let means = c
             .query(Query::sensors("/**").aggregate(Aggregation::Mean))
             .scalars();
@@ -655,7 +687,8 @@ mod tests {
         let expected: BTreeMap<(u32, &'static str), u64> = alive
             .iter()
             .flat_map(|&s| {
-                ["query", "versions", "health", "edge", "fence"].map(|kind| ((s, kind), 1))
+                ["ingest", "query", "versions", "health", "edge", "fence"]
+                    .map(|kind| ((s, kind), 1))
             })
             .collect();
         assert_eq!(got, expected);
@@ -663,6 +696,60 @@ mod tests {
         for relay in relays {
             relay.join().expect("relay thread");
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_command_queued_between_two_ingests_sees_only_the_first() {
+        let registry = SensorRegistry::new();
+        let s = registry.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
+        let c = ClusterCoordinator::new(ClusterConfig::with_shards(1), registry)
+            .expect("shard opens over SimFs");
+        let batch = |from: u64, n: u64| ReadingBatch {
+            sensor: s,
+            readings: (from..from + n)
+                .map(|t| Reading::new(Timestamp::from_millis(t * 1_000), t as f64))
+                .collect(),
+        };
+        // The edge task parks the shard until the test has queued ingest A,
+        // a `Versions` query and ingest B behind it.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let task: EdgeTask = {
+            let gate = Arc::clone(&gate);
+            Arc::new(move |_: &EdgeView<'_>| {
+                gate.wait();
+                gate.wait();
+                Vec::new()
+            })
+        };
+        let (reply, versions) = bounded(1);
+        std::thread::scope(|scope| {
+            let c = &c;
+            let parked = scope.spawn(move || c.run_edge(task));
+            gate.wait();
+            assert!(c.ingest(batch(0, 3)));
+            {
+                let state = c.state.read();
+                let Some(Some(h)) = state.shards.first() else {
+                    panic!("shard 0 is alive");
+                };
+                let cmd = ShardCmd::Versions {
+                    sensors: vec![s],
+                    reply,
+                };
+                assert!(h.tx.send(cmd).is_ok());
+            }
+            assert!(c.ingest(batch(3, 2)));
+            gate.wait();
+            parked.join().expect("edge caller");
+        });
+        // One version per accepted reading: A holds 3, B 2 more.
+        assert_eq!(versions.recv().ok(), Some(vec![3]), "Versions ran after B");
+        c.fence();
+        assert_eq!(c.sensor_versions(&[s]), [5]);
+        let health = c.health();
+        assert_eq!(health.len(), 1);
+        assert_eq!((health[0].published, health[0].durable_len), (2, 5));
     }
 
     #[test]

@@ -56,7 +56,9 @@ pub struct ClusterConfig {
     /// Simulated per-batch collector I/O wait in microseconds (network
     /// round-trip + media sync). Zero in production configs; the scale
     /// bench sets it to model the per-collector latency that sharding
-    /// overlaps across shard threads.
+    /// overlaps across shard threads. The wait is per batch, not per
+    /// command: a group-committed run of ingest commands sleeps once for
+    /// each batch it holds.
     pub io_wait_us: u64,
 }
 

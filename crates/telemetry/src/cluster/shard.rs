@@ -8,12 +8,19 @@
 //! makes scatter-gather deterministic without global fences: a query
 //! sent after an ingest on the same shard necessarily observes it.
 //!
-//! Durability contract: each ingest command is archived through the
-//! shard's [`Archive`] and the WAL is flushed before the shard
-//! moves to the next command. "Accepted" therefore implies "durable",
-//! which is what lets [`super::ClusterCoordinator::fail_shard`] rebuild
-//! a failed shard's slice from its surviving filesystem without losing
-//! a single accepted reading.
+//! Durability contract (group commit): the worker archives an ingest
+//! command through the shard's [`Archive`], then drains every ingest
+//! command already queued behind it, archives those in arrival order too,
+//! and flushes the WAL once before it runs any other command (the
+//! engine's own `wal_sync_every` interval may still sync inside a long
+//! group). A query, fence or edge task therefore never observes an
+//! ingest that is not yet durable, and "accepted" still implies
+//! "durable", which is what lets
+//! [`super::ClusterCoordinator::fail_shard`] rebuild a failed shard's
+//! slice from its surviving filesystem without losing a single accepted
+//! reading. Grouping changes only how many sync points there are: the
+//! WAL bytes and segment seal points are the same as with one flush per
+//! command.
 
 use crate::cluster::placement::ShardId;
 use crate::cluster::ClusterConfig;
@@ -63,9 +70,10 @@ pub struct ShardHealth {
 
 /// Commands a shard worker processes in arrival order.
 pub(crate) enum ShardCmd {
-    /// Archive a batch (fire-and-forget; ack == durable before the next
-    /// command runs).
-    Ingest(ReadingBatch),
+    /// Archive batches in order (fire-and-forget). Consecutive queued
+    /// ingest commands are group-committed: one WAL flush after the last
+    /// of them, before the next non-ingest command runs.
+    Ingest(Vec<ReadingBatch>),
     /// Execute a sub-query against the shard's local store.
     Query {
         query: Query,
@@ -148,7 +156,9 @@ impl ShardHandle {
 }
 
 /// The worker loop: one command at a time, in arrival order, until Stop
-/// or every sender is gone.
+/// or every sender is gone. An ingest command drains the ingest commands
+/// queued right behind it into one group commit; the first other command
+/// it pulls runs next, after the flush.
 fn run(
     id: ShardId,
     rx: &Receiver<ShardCmd>,
@@ -157,18 +167,34 @@ fn run(
     io_wait: Duration,
 ) {
     let mut published: u64 = 0;
-    while let Ok(cmd) = rx.recv() {
+    let mut held: Option<ShardCmd> = None;
+    loop {
+        let cmd = match held.take() {
+            Some(cmd) => cmd,
+            None => match rx.recv() {
+                Ok(cmd) => cmd,
+                Err(_) => return,
+            },
+        };
         match cmd {
-            ShardCmd::Ingest(batch) => {
-                if !io_wait.is_zero() {
-                    // Simulated collector round-trip (network + media sync)
-                    // for the scale bench; zero in production configs.
-                    std::thread::sleep(io_wait);
+            ShardCmd::Ingest(batches) => {
+                published += archive_all(archive, batches, io_wait);
+                // Group commit: drain the ingest commands already queued,
+                // holding back the first other command, then WAL-sync
+                // everything the group accepted before that command can
+                // observe or extend it.
+                loop {
+                    match rx.try_recv() {
+                        Ok(ShardCmd::Ingest(more)) => {
+                            published += archive_all(archive, more, io_wait);
+                        }
+                        Ok(other) => {
+                            held = Some(other);
+                            break;
+                        }
+                        Err(_) => break,
+                    }
                 }
-                archive.insert_batch(batch.sensor, &batch.readings);
-                published += 1;
-                // Ack == durable: WAL-sync what this command accepted
-                // before the next command can observe or extend it.
                 let _ = archive.flush();
             }
             ShardCmd::Query { query, reply } => {
@@ -206,4 +232,20 @@ fn run(
             }
         }
     }
+}
+
+/// Archives `batches` in order, without flushing; returns how many were
+/// archived.
+fn archive_all(archive: &Archive, batches: Vec<ReadingBatch>, io_wait: Duration) -> u64 {
+    let mut n = 0;
+    for batch in batches {
+        if !io_wait.is_zero() {
+            // Simulated collector round-trip (network + media sync) per
+            // batch for the scale bench; zero in production configs.
+            std::thread::sleep(io_wait);
+        }
+        archive.insert_batch(batch.sensor, &batch.readings);
+        n += 1;
+    }
+    n
 }

@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -93,6 +94,10 @@ struct SimFile {
     /// Whether the file's existence itself has been made durable. A file
     /// created and never synced disappears entirely on crash.
     created_durably: bool,
+    /// Whether `data` no longer starts with `durable`. Every operation
+    /// keeps `durable` a prefix of `data` except a lost `write_atomic`, so
+    /// a sync usually only copies the unsynced suffix.
+    diverged: bool,
 }
 
 #[derive(Debug, Default)]
@@ -138,6 +143,7 @@ impl SimFs {
         st.files.retain(|_, f| f.created_durably);
         for f in st.files.values_mut() {
             f.data = f.durable.clone();
+            f.diverged = false;
         }
         st.last_appended = None;
     }
@@ -161,6 +167,7 @@ impl SimFs {
             }
             f.data = survived.clone();
             f.durable = survived;
+            f.diverged = false;
         }
         st.last_appended = None;
     }
@@ -220,7 +227,13 @@ impl StorageFs for SimFs {
         }
         st.syncs += 1;
         if let Some(f) = st.files.get_mut(path) {
-            f.durable = f.data.clone();
+            if f.diverged {
+                f.durable = f.data.clone();
+                f.diverged = false;
+            } else {
+                let unsynced = f.data.get(f.durable.len()..).unwrap_or(&[]);
+                f.durable.extend_from_slice(unsynced);
+            }
             f.created_durably = true;
         }
         Ok(())
@@ -257,10 +270,13 @@ impl StorageFs for SimFs {
         };
         let f = st.files.entry(path.to_string()).or_default();
         f.data = bytes.to_vec();
-        if !lost {
+        if lost {
+            f.diverged = true;
+        } else {
             // Rename + directory fsync took effect: the replacement is durable.
             f.durable = bytes.to_vec();
             f.created_durably = true;
+            f.diverged = false;
         }
         Ok(())
     }
@@ -305,10 +321,16 @@ impl StorageFs for SimFs {
 /// Atomic replacement uses write-temp / fsync / rename / fsync-dir. The
 /// clock remains logical (an atomic counter) so the storage layer never
 /// reads wall time even on a real filesystem.
+///
+/// The handle of the last file appended to stays open, so a WAL append is
+/// one `write` and its sync one `fsync` on that handle. Replacing,
+/// truncating or removing that file closes the handle first: a segment
+/// seal renames a fresh WAL over the old inode.
 #[derive(Debug)]
 pub struct RealFs {
     root: PathBuf,
     ops: AtomicU64,
+    appending: Mutex<Option<(String, Arc<std::fs::File>)>>,
 }
 
 impl RealFs {
@@ -319,7 +341,16 @@ impl RealFs {
         Ok(Self {
             root,
             ops: AtomicU64::new(0),
+            appending: Mutex::new(None),
         })
+    }
+
+    /// Closes the cached append handle if it belongs to `path`.
+    fn close(&self, path: &str) {
+        let mut appending = self.appending.lock();
+        if appending.as_ref().is_some_and(|(p, _)| p == path) {
+            *appending = None;
+        }
     }
 
     fn full(&self, path: &str) -> PathBuf {
@@ -339,18 +370,34 @@ impl StorageFs for RealFs {
     fn append(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
         use std::io::Write;
         self.ops.fetch_add(1, Ordering::Relaxed);
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.full(path))
-            .map_err(|e| Self::map_err(path, e))?;
-        f.write_all(bytes).map_err(|e| Self::map_err(path, e))
+        let mut appending = self.appending.lock();
+        let f = match &*appending {
+            Some((p, f)) if p == path => f,
+            _ => {
+                let f = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.full(path))
+                    .map_err(|e| Self::map_err(path, e))?;
+                &appending.insert((path.to_string(), Arc::new(f))).1
+            }
+        };
+        (&**f).write_all(bytes).map_err(|e| Self::map_err(path, e))
     }
 
     fn sync(&self, path: &str) -> Result<(), FsError> {
         self.ops.fetch_add(1, Ordering::Relaxed);
-        let f = std::fs::File::open(self.full(path)).map_err(|e| Self::map_err(path, e))?;
-        f.sync_all().map_err(|e| Self::map_err(path, e))
+        // Take the cached handle out of the lock: fsync must not hold it.
+        let cached = self
+            .appending
+            .lock()
+            .as_ref()
+            .and_then(|(p, f)| (p == path).then(|| Arc::clone(f)));
+        match cached {
+            Some(f) => f.sync_all(),
+            None => std::fs::File::open(self.full(path)).and_then(|f| f.sync_all()),
+        }
+        .map_err(|e| Self::map_err(path, e))
     }
 
     fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
@@ -360,6 +407,7 @@ impl StorageFs for RealFs {
 
     fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
         self.ops.fetch_add(1, Ordering::Relaxed);
+        self.close(path);
         let tmp = self.full(&format!("{path}.tmp"));
         std::fs::write(&tmp, bytes).map_err(|e| Self::map_err(path, e))?;
         let f = std::fs::File::open(&tmp).map_err(|e| Self::map_err(path, e))?;
@@ -374,6 +422,7 @@ impl StorageFs for RealFs {
 
     fn truncate(&self, path: &str, len: u64) -> Result<(), FsError> {
         self.ops.fetch_add(1, Ordering::Relaxed);
+        self.close(path);
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(self.full(path))
@@ -383,6 +432,7 @@ impl StorageFs for RealFs {
 
     fn remove(&self, path: &str) -> Result<(), FsError> {
         self.ops.fetch_add(1, Ordering::Relaxed);
+        self.close(path);
         std::fs::remove_file(self.full(path)).map_err(|e| Self::map_err(path, e))
     }
 
@@ -473,6 +523,22 @@ mod tests {
     }
 
     #[test]
+    fn sync_after_a_lost_write_atomic_makes_the_visible_bytes_durable() {
+        let fs = SimFs::new();
+        fs.append("wal", b"old-header|").unwrap();
+        fs.sync("wal").unwrap();
+        fs.lose_next_syncs(1);
+        // The replacement is visible but its durability point was lost, so
+        // the durable bytes no longer prefix the visible ones.
+        fs.write_atomic("wal", b"new|").unwrap();
+        fs.append("wal", b"rec").unwrap();
+        fs.sync("wal").unwrap();
+        fs.append("wal", b"-unsynced").unwrap();
+        fs.crash();
+        assert_eq!(fs.read("wal").unwrap(), b"new|rec");
+    }
+
+    #[test]
     fn short_read_truncates_and_expires() {
         let fs = SimFs::new();
         fs.append("seg", b"0123456789").unwrap();
@@ -533,6 +599,27 @@ mod tests {
         assert_eq!(fs.read("wal").unwrap(), b"a");
         fs.remove("wal").unwrap();
         assert!(matches!(fs.read("wal"), Err(FsError::NotFound(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn real_fs_append_after_write_atomic_reaches_the_new_file() {
+        let dir = std::env::temp_dir().join(format!("oda-realfs-seal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = RealFs::new(&dir).unwrap();
+        fs.append("wal", b"old-records").unwrap();
+        fs.sync("wal").unwrap();
+        // A seal renames a fresh file over the path the append handle holds.
+        fs.write_atomic("wal", b"header|").unwrap();
+        fs.append("wal", b"rec").unwrap();
+        fs.sync("wal").unwrap();
+        assert_eq!(fs.read("wal").unwrap(), b"header|rec");
+        drop(fs);
+        let reopened = RealFs::new(&dir).unwrap();
+        assert_eq!(reopened.read("wal").unwrap(), b"header|rec");
+        reopened.append("wal", b"+more").unwrap();
+        assert_eq!(reopened.read("wal").unwrap(), b"header|rec+more");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,11 +10,12 @@ use hpc_oda::core::grid::{GridCell, GridFootprint};
 use hpc_oda::serve::net::SimNet;
 use hpc_oda::serve::server::Server;
 use hpc_oda::sim::prelude::*;
-use hpc_oda::telemetry::cluster::{EdgeTask, EdgeView};
+use hpc_oda::telemetry::cluster::{ClusterConfig, ClusterCoordinator, EdgeTask, EdgeView, ShardId};
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::{Aggregation, LocalSource, Query, QueryEngine, Source, TimeRange};
 use hpc_oda::telemetry::reading::Timestamp;
 use hpc_oda::telemetry::sensor::SensorId;
+use hpc_oda::telemetry::storage::StorageConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -169,6 +170,62 @@ fn per_shard_health_sums_match_the_unsharded_archive() {
     }
     let published: u64 = health.iter().map(|h| h.published).sum();
     assert_eq!(published, dc.bus().published());
+}
+
+#[test]
+fn grouped_and_per_batch_ingest_answer_identically() {
+    for shards in [1usize, 2, 4] {
+        // The site hands each tick's batches to its cluster at once; a
+        // second cluster is fed the same stream one batch per `ingest`,
+        // tapped off the site bus.
+        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
+            .seed(35)
+            .metrics(MetricsRegistry::new())
+            .shards(shards)
+            .build();
+        let grouped = Arc::clone(dc.cluster().expect("sharded site has a coordinator"));
+        let per_batch = ClusterCoordinator::new(
+            ClusterConfig {
+                shards,
+                per_sensor_capacity: dc.config().store_capacity,
+                rollups: dc.config().rollups.clone(),
+                storage: StorageConfig::hybrid(),
+                ..ClusterConfig::default()
+            },
+            dc.registry().clone(),
+        )
+        .expect("shards open over SimFs");
+        let tap = dc.bus().subscription("/**").capacity(4_096).subscribe();
+        for _ in 0..TICKS {
+            dc.step();
+            while let Ok(batch) = tap.rx.try_recv() {
+                assert!(per_batch.ingest(batch));
+            }
+        }
+        assert_eq!(tap.dropped(), 0, "the tap shed batches");
+        grouped.fence();
+        per_batch.fence();
+
+        let expected = answers(&per_batch);
+        assert_eq!(
+            answers(&*grouped),
+            expected,
+            "grouped ingest diverged at {shards} shard(s)"
+        );
+        // `published` counts batches, not commands, on both sides.
+        let published =
+            |c: &ClusterCoordinator| c.health().iter().map(|h| h.published).sum::<u64>();
+        assert_eq!(published(&grouped), dc.bus().published());
+        assert_eq!(published(&per_batch), dc.bus().published());
+        // Every grouped ingest was durable: failing a shard (or restarting
+        // the only one) replays its slice without losing a reading.
+        assert!(grouped.fail_shard(ShardId(0)));
+        assert_eq!(
+            answers(&*grouped),
+            expected,
+            "fail_shard lost readings at {shards} shard(s)"
+        );
+    }
 }
 
 #[test]
